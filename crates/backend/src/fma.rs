@@ -134,6 +134,17 @@ impl KernelBackend for FmaBackend {
         unsafe { gemm_a_bt_row_fma(a_row, b, out_row, k) }
     }
 
+    fn gemm_a_bt_rows(&self, a_rows: &[f32], b: &[f32], out_rows: &mut [f32], k: usize, n: usize) {
+        if out_rows.len() > n {
+            // Safety: construction proved avx2+fma.
+            unsafe { x86::avx2fma::gemm_a_bt_rows(a_rows, b, out_rows, k, n) }
+        } else {
+            for (a_row, out_row) in a_rows.chunks_exact(k).zip(out_rows.chunks_exact_mut(n)) {
+                self.gemm_a_bt_row(a_row, b, out_row, k);
+            }
+        }
+    }
+
     fn im2col_row(
         &self,
         input: &[f32],

@@ -170,6 +170,19 @@ pub trait KernelBackend: Send + Sync {
     /// with `b` stored `[n x k]` and `k >= 1` (callers shortcut `k == 0`).
     fn gemm_a_bt_row(&self, a_row: &[f32], b: &[f32], out_row: &mut [f32], k: usize);
 
+    /// A contiguous block of output rows of `out = a·bᵀ` (`a_rows` holds
+    /// `rows = out_rows.len() / n` rows of length `k`, `b` stored
+    /// `[n x k]`, `k >= 1` and `n >= 1`). Semantically identical to
+    /// [`KernelBackend::gemm_a_bt_row`] per row; a backend may block across
+    /// rows to read `b` once per block as long as every output element
+    /// keeps the reference's accumulation (the SIMD backend packs up to 16
+    /// rows per pass this way).
+    fn gemm_a_bt_rows(&self, a_rows: &[f32], b: &[f32], out_rows: &mut [f32], k: usize, n: usize) {
+        for (a_row, out_row) in a_rows.chunks_exact(k).zip(out_rows.chunks_exact_mut(n)) {
+            self.gemm_a_bt_row(a_row, b, out_row, k);
+        }
+    }
+
     /// One row of the im2col lowering of a `[C, H, W]` sample: the window
     /// values for kernel tap `(ch, ky, kx) = decode(row)` at every output
     /// position (`row_out` holds `out_h * out_w` values). Pure data
@@ -416,8 +429,13 @@ pub fn detected_level() -> SimdLevel {
 mod tests {
     use super::*;
 
-    fn backends() -> [&'static dyn KernelBackend; 2] {
-        [backend_for(BackendChoice::Scalar), backend_for(BackendChoice::Simd)]
+    /// The scalar reference paired with each exact SIMD backend that must
+    /// match it bit for bit: the detected level, and the 4-lane SSE stamp
+    /// that AVX2 hosts never run otherwise.
+    fn backends() -> [[&'static dyn KernelBackend; 2]; 2] {
+        static SSE: SimdBackend = SimdBackend::SSE;
+        let s = backend_for(BackendChoice::Scalar);
+        [[s, backend_for(BackendChoice::Simd)], [s, &SSE]]
     }
 
     /// Deterministic pseudo-random fill that exercises signs, magnitudes and
@@ -441,17 +459,18 @@ mod tests {
 
     #[test]
     fn gemm_row_bit_identical_across_backends_and_widths() {
-        let [s, v] = backends();
-        for &n in WIDTHS {
-            for &k in WIDTHS {
-                let a = data(k, n);
-                let b = data(k * n, n + k);
-                for acc in [false, true] {
-                    let mut out_s = data(n, 7);
-                    let mut out_v = out_s.clone();
-                    s.gemm_row(&a, &b, &mut out_s, acc);
-                    v.gemm_row(&a, &b, &mut out_v, acc);
-                    assert_eq!(out_s, out_v, "gemm_row k={k} n={n} acc={acc}");
+        for [s, v] in backends() {
+            for &n in WIDTHS {
+                for &k in WIDTHS {
+                    let a = data(k, n);
+                    let b = data(k * n, n + k);
+                    for acc in [false, true] {
+                        let mut out_s = data(n, 7);
+                        let mut out_v = out_s.clone();
+                        s.gemm_row(&a, &b, &mut out_s, acc);
+                        v.gemm_row(&a, &b, &mut out_v, acc);
+                        assert_eq!(out_s, out_v, "gemm_row k={k} n={n} acc={acc}");
+                    }
                 }
             }
         }
@@ -459,19 +478,20 @@ mod tests {
 
     #[test]
     fn gemm_rows_block_kernel_bit_identical_across_backends() {
-        let [s, v] = backends();
-        // Row counts around the 4-row register block (1..9) × odd widths.
-        for &rows in &[1usize, 2, 3, 4, 5, 7, 8, 9] {
-            for &n in WIDTHS {
-                for &k in &[1usize, 7, 16] {
-                    let a = data(rows * k, n);
-                    let b = data(k * n, rows);
-                    for acc in [false, true] {
-                        let mut out_s = data(rows * n, 11);
-                        let mut out_v = out_s.clone();
-                        s.gemm_rows(&a, &b, &mut out_s, k, n, acc);
-                        v.gemm_rows(&a, &b, &mut out_v, k, n, acc);
-                        assert_eq!(out_s, out_v, "gemm_rows rows={rows} k={k} n={n} acc={acc}");
+        for [s, v] in backends() {
+            // Row counts around the 4-row register block (1..9) × odd widths.
+            for &rows in &[1usize, 2, 3, 4, 5, 7, 8, 9] {
+                for &n in WIDTHS {
+                    for &k in &[1usize, 7, 16] {
+                        let a = data(rows * k, n);
+                        let b = data(k * n, rows);
+                        for acc in [false, true] {
+                            let mut out_s = data(rows * n, 11);
+                            let mut out_v = out_s.clone();
+                            s.gemm_rows(&a, &b, &mut out_s, k, n, acc);
+                            v.gemm_rows(&a, &b, &mut out_v, k, n, acc);
+                            assert_eq!(out_s, out_v, "gemm_rows rows={rows} k={k} n={n} acc={acc}");
+                        }
                     }
                 }
             }
@@ -480,50 +500,104 @@ mod tests {
 
     #[test]
     fn gemm_at_b_band_bit_identical_across_backends() {
-        let [s, v] = backends();
-        for &n in WIDTHS {
-            for &(k, m) in &[(1usize, 1usize), (3, 5), (8, 4), (17, 3)] {
-                let a = data(k * m, n);
-                let b = data(k * n, m);
-                let mut out_s = vec![1.0f32; m * n];
-                let mut out_v = vec![-1.0f32; m * n];
-                s.gemm_at_b_band(&a, &b, &mut out_s, 0, m, n);
-                v.gemm_at_b_band(&a, &b, &mut out_v, 0, m, n);
-                assert_eq!(out_s, out_v, "gemm_at_b_band k={k} m={m} n={n}");
+        for [s, v] in backends() {
+            for &n in WIDTHS {
+                for &(k, m) in &[(1usize, 1usize), (3, 5), (8, 4), (17, 3)] {
+                    let a = data(k * m, n);
+                    let b = data(k * n, m);
+                    let mut out_s = vec![1.0f32; m * n];
+                    let mut out_v = vec![-1.0f32; m * n];
+                    s.gemm_at_b_band(&a, &b, &mut out_s, 0, m, n);
+                    v.gemm_at_b_band(&a, &b, &mut out_v, 0, m, n);
+                    assert_eq!(out_s, out_v, "gemm_at_b_band k={k} m={m} n={n}");
+                }
             }
         }
     }
 
     #[test]
     fn gemm_a_bt_row_bit_identical_across_backends() {
-        let [s, v] = backends();
-        for &n in WIDTHS {
-            for &k in WIDTHS {
-                let a = data(k, n + 1);
-                let b = data(n * k, k + 2);
-                let mut out_s = vec![0.0f32; n];
-                let mut out_v = vec![0.5f32; n];
-                s.gemm_a_bt_row(&a, &b, &mut out_s, k);
-                v.gemm_a_bt_row(&a, &b, &mut out_v, k);
-                assert_eq!(out_s, out_v, "gemm_a_bt_row k={k} n={n}");
+        // Signed-zero activations against non-finite weights: every output
+        // starts from +0.0 and skips no term, so a row of -0.0 against
+        // positive weights sums to +0.0 (all its products are -0.0), and a
+        // zero against an infinite or NaN weight gives NaN. Each column
+        // carries one kind of non-finite weight, so all NaNs meeting in one
+        // sum share their bits.
+        let (zrows, zk, zn) = (19usize, 300usize, 14usize);
+        let zero_acts: Vec<f32> = (0..zrows * zk)
+            .map(|i| match (i / zk % 3, i % 3) {
+                (0, _) => -0.0,
+                (1, 0) | (2, 0) => 0.0,
+                (1, _) => -0.0,
+                _ => ((i * 37) % 11) as f32 * 0.25 - 1.25,
+            })
+            .collect();
+        let non_finite_wts: Vec<f32> = (0..zn * zk)
+            .map(|i| match (i / zk % 4, i % 61) {
+                (0, _) => ((i * 13) % 17) as f32 * 0.125 + 0.5,
+                (1, 3) => f32::NAN,
+                (2, 3) => f32::INFINITY,
+                (3, 3) => f32::NEG_INFINITY,
+                _ => ((i * 13) % 17) as f32 * 0.125 - 1.0,
+            })
+            .collect();
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for [s, v] in backends() {
+            for &n in WIDTHS {
+                for &k in WIDTHS {
+                    let a = data(k, n + 1);
+                    let b = data(n * k, k + 2);
+                    let mut out_s = vec![0.0f32; n];
+                    let mut out_v = vec![0.5f32; n];
+                    s.gemm_a_bt_row(&a, &b, &mut out_s, k);
+                    v.gemm_a_bt_row(&a, &b, &mut out_v, k);
+                    assert_eq!(out_s, out_v, "gemm_a_bt_row k={k} n={n}");
+                }
             }
+            let rows_kernel = |a: &[f32], b: &[f32], rows: usize, k: usize, n: usize| {
+                let mut out_s = vec![0.0f32; rows * n];
+                let mut out_v = vec![0.5f32; rows * n];
+                s.gemm_a_bt_rows(a, b, &mut out_s, k, n);
+                v.gemm_a_bt_rows(a, b, &mut out_v, k, n);
+                assert_eq!(bits(&out_s), bits(&out_v), "gemm_a_bt_rows rows={rows} k={k} n={n}");
+                out_s
+            };
+            // Rows around the 8- and 16-row blocks (one row keeps the row
+            // kernel), `k` on both sides of the 256-deep panel chunk, `n` off
+            // the 6- and 12-column register tiles, and fc1 at a 28-frame
+            // micro-batch.
+            for &rows in &[1usize, 2, 15, 16, 17, 28, 33, 64] {
+                for &k in &[1usize, 7, 255, 256, 257, 600] {
+                    for &n in &[1usize, 5, 13, 57] {
+                        rows_kernel(&data(rows * k, n), &data(n * k, rows + k), rows, k, n);
+                    }
+                }
+            }
+            rows_kernel(&data(28 * 2048, 1), &data(512 * 2048, 2), 28, 2048, 512);
+            let out = rows_kernel(&zero_acts, &non_finite_wts, zrows, zk, zn);
+            assert_eq!(out[0].to_bits(), 0.0f32.to_bits(), "-0.0 products must sum to +0.0");
+            assert!(out[1..4].iter().all(|x| x.is_nan()));
         }
     }
 
     #[test]
     fn im2col_row_bit_identical_across_backends() {
-        let [s, v] = backends();
-        let (h, w, c) = (5usize, 7usize, 2usize);
-        let input = data(c * h * w, 3);
-        for &(kernel, stride, padding) in &[(3usize, 1usize, 1usize), (3, 2, 0), (1, 1, 0)] {
-            let out_h = (h + 2 * padding - kernel) / stride + 1;
-            let out_w = (w + 2 * padding - kernel) / stride + 1;
-            for row in 0..c * kernel * kernel {
-                let mut out_s = vec![9.0f32; out_h * out_w];
-                let mut out_v = vec![-9.0f32; out_h * out_w];
-                s.im2col_row(&input, h, w, kernel, stride, padding, row, &mut out_s, out_w);
-                v.im2col_row(&input, h, w, kernel, stride, padding, row, &mut out_v, out_w);
-                assert_eq!(out_s, out_v, "im2col_row k={kernel} s={stride} p={padding} row={row}");
+        for [s, v] in backends() {
+            let (h, w, c) = (5usize, 7usize, 2usize);
+            let input = data(c * h * w, 3);
+            for &(kernel, stride, padding) in &[(3usize, 1usize, 1usize), (3, 2, 0), (1, 1, 0)] {
+                let out_h = (h + 2 * padding - kernel) / stride + 1;
+                let out_w = (w + 2 * padding - kernel) / stride + 1;
+                for row in 0..c * kernel * kernel {
+                    let mut out_s = vec![9.0f32; out_h * out_w];
+                    let mut out_v = vec![-9.0f32; out_h * out_w];
+                    s.im2col_row(&input, h, w, kernel, stride, padding, row, &mut out_s, out_w);
+                    v.im2col_row(&input, h, w, kernel, stride, padding, row, &mut out_v, out_w);
+                    assert_eq!(
+                        out_s, out_v,
+                        "im2col_row k={kernel} s={stride} p={padding} row={row}"
+                    );
+                }
             }
         }
     }
@@ -534,49 +608,52 @@ mod tests {
         // input (kernel 9 on a 2x2 input with padding 4) produce an empty
         // valid span; the stride-1 fast path must emit the all-zero row the
         // scalar reference does instead of wrapping a negative source index.
-        let [s, v] = backends();
-        let (h, w, c, kernel, padding) = (2usize, 2usize, 1usize, 9usize, 4usize);
-        let input = data(c * h * w, 4);
-        let (out_h, out_w) = (h, w); // "same" geometry
-        for row in 0..c * kernel * kernel {
-            let mut out_s = vec![7.0f32; out_h * out_w];
-            let mut out_v = vec![-7.0f32; out_h * out_w];
-            s.im2col_row(&input, h, w, kernel, 1, padding, row, &mut out_s, out_w);
-            v.im2col_row(&input, h, w, kernel, 1, padding, row, &mut out_v, out_w);
-            assert_eq!(out_s, out_v, "im2col_row wide-kernel row={row}");
+        for [s, v] in backends() {
+            let (h, w, c, kernel, padding) = (2usize, 2usize, 1usize, 9usize, 4usize);
+            let input = data(c * h * w, 4);
+            let (out_h, out_w) = (h, w); // "same" geometry
+            for row in 0..c * kernel * kernel {
+                let mut out_s = vec![7.0f32; out_h * out_w];
+                let mut out_v = vec![-7.0f32; out_h * out_w];
+                s.im2col_row(&input, h, w, kernel, 1, padding, row, &mut out_s, out_w);
+                v.im2col_row(&input, h, w, kernel, 1, padding, row, &mut out_v, out_w);
+                assert_eq!(out_s, out_v, "im2col_row wide-kernel row={row}");
+            }
         }
     }
 
     #[test]
     fn elementwise_ops_bit_identical_across_backends() {
-        let [s, v] = backends();
-        for &n in WIDTHS {
-            let x = data(n, 1);
-            let (mut ys, mut yv) = (data(n, 2), data(n, 2));
-            s.axpy(0.37, &x, &mut ys);
-            v.axpy(0.37, &x, &mut yv);
-            assert_eq!(ys, yv, "axpy n={n}");
-            s.add_assign(&mut ys, &x);
-            v.add_assign(&mut yv, &x);
-            assert_eq!(ys, yv, "add_assign n={n}");
-            s.scale_assign(&mut ys, -1.7);
-            v.scale_assign(&mut yv, -1.7);
-            assert_eq!(ys, yv, "scale_assign n={n}");
-            s.add_scalar_assign(&mut ys, 0.11);
-            v.add_scalar_assign(&mut yv, 0.11);
-            assert_eq!(ys, yv, "add_scalar_assign n={n}");
+        for [s, v] in backends() {
+            for &n in WIDTHS {
+                let x = data(n, 1);
+                let (mut ys, mut yv) = (data(n, 2), data(n, 2));
+                s.axpy(0.37, &x, &mut ys);
+                v.axpy(0.37, &x, &mut yv);
+                assert_eq!(ys, yv, "axpy n={n}");
+                s.add_assign(&mut ys, &x);
+                v.add_assign(&mut yv, &x);
+                assert_eq!(ys, yv, "add_assign n={n}");
+                s.scale_assign(&mut ys, -1.7);
+                v.scale_assign(&mut yv, -1.7);
+                assert_eq!(ys, yv, "scale_assign n={n}");
+                s.add_scalar_assign(&mut ys, 0.11);
+                v.add_scalar_assign(&mut yv, 0.11);
+                assert_eq!(ys, yv, "add_scalar_assign n={n}");
+            }
         }
     }
 
     #[test]
     fn reductions_and_scans_bit_identical_across_backends() {
-        let [s, v] = backends();
-        for &n in WIDTHS {
-            let a = data(n, 5);
-            let b = data(n, 6);
-            assert_eq!(s.sum(&a).to_bits(), v.sum(&a).to_bits(), "sum n={n}");
-            assert_eq!(s.dot(&a, &b).to_bits(), v.dot(&a, &b).to_bits(), "dot n={n}");
-            assert_eq!(s.max_scan(&a), v.max_scan(&a), "max_scan n={n}");
+        for [s, v] in backends() {
+            for &n in WIDTHS {
+                let a = data(n, 5);
+                let b = data(n, 6);
+                assert_eq!(s.sum(&a).to_bits(), v.sum(&a).to_bits(), "sum n={n}");
+                assert_eq!(s.dot(&a, &b).to_bits(), v.dot(&a, &b).to_bits(), "dot n={n}");
+                assert_eq!(s.max_scan(&a), v.max_scan(&a), "max_scan n={n}");
+            }
         }
     }
 
@@ -668,6 +745,14 @@ mod tests {
         s.gemm_a_bt_row(&a[..k], &bt, &mut row_s, k);
         for (f, r) in row_f.iter().zip(&row_s) {
             assert!(rel(*f, *r) < 1e-4, "gemm_a_bt_row fma={f} scalar={r}");
+        }
+
+        let mut rows_f = vec![0.0f32; rows * n];
+        let mut rows_s = vec![0.0f32; rows * n];
+        fma.gemm_a_bt_rows(&a, &bt, &mut rows_f, k, n);
+        s.gemm_a_bt_rows(&a, &bt, &mut rows_s, k, n);
+        for (f, r) in rows_f.iter().zip(&rows_s) {
+            assert!(rel(*f, *r) < 1e-4, "gemm_a_bt_rows fma={f} scalar={r}");
         }
     }
 

@@ -178,6 +178,11 @@ impl SimdBackend {
         SimdBackend { level: detect_level() }
     }
 
+    /// The 4-lane SSE level whatever the host detects (SSE2 is part of the
+    /// x86_64 ABI), so tests run that stamp on AVX2 hosts too.
+    #[cfg(test)]
+    pub(crate) const SSE: SimdBackend = SimdBackend { level: SimdLevel::Sse };
+
     /// The instruction-set level detected at construction.
     pub fn level(&self) -> SimdLevel {
         self.level
@@ -233,6 +238,29 @@ impl KernelBackend for SimdBackend {
         // Unrolled independent accumulators at every level: the win is ILP
         // (eight dependency chains instead of one), not lane width.
         gemm_a_bt_row_unrolled(a_row, b, out_row, k);
+    }
+
+    fn gemm_a_bt_rows(&self, a_rows: &[f32], b: &[f32], out_rows: &mut [f32], k: usize, n: usize) {
+        // A single row keeps the unrolled row kernel: a row block would read
+        // all of `b` just the same, with every other lane padding.
+        let blocked = out_rows.len() > n;
+        // SAFETY: `self.level` was detected on this CPU (or is SSE, which
+        // every x86_64 CPU has), so the stamp's target feature is present.
+        match self.level {
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx2 if blocked => unsafe {
+                x86::avx2::gemm_a_bt_rows(a_rows, b, out_rows, k, n)
+            },
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Sse if blocked => unsafe {
+                x86::sse::gemm_a_bt_rows(a_rows, b, out_rows, k, n)
+            },
+            _ => {
+                for (a_row, out_row) in a_rows.chunks_exact(k).zip(out_rows.chunks_exact_mut(n)) {
+                    gemm_a_bt_row_unrolled(a_row, b, out_row, k);
+                }
+            }
+        }
     }
 
     fn im2col_row(

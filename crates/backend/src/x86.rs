@@ -62,6 +62,11 @@ unsafe fn fused_mul_add_256(a: __m256, b: __m256, c: __m256) -> __m256 {
     _mm256_fmadd_ps(a, b, c)
 }
 
+/// Depth of one `k` chunk of the packed `a·bᵀ` panel: a full 16-row AVX2
+/// panel is 256 × 16 × 4 B = 16 KiB, so it stays in L1 beside the `b`
+/// streams.
+const A_BT_KC: usize = 256;
+
 macro_rules! simd_level {
     ($name:ident, $feature:literal, $lanes:literal,
      $load:ident, $store:ident, $set1:ident, $mul:ident, $add:ident, $muladd:ident) => {
@@ -295,6 +300,173 @@ macro_rules! simd_level {
                         accumulate,
                     );
                     r += 1;
+                }
+            }
+
+            /// Row-blocked kernel of `out = a·bᵀ`: `a_rows` holds
+            /// `rows = out_rows.len() / n` rows of length `k`, `b` is stored
+            /// `[n x k]`. It vectorises across output *rows*: a block of up
+            /// to `2 * $lanes` rows of `a` is packed `k`-major into a stack
+            /// panel, one [`A_BT_KC`](super::A_BT_KC)-deep chunk at a time,
+            /// so lane `i` of a panel vector holds `a[i][p]`. Each `b[j][p]`
+            /// is broadcast across the block, and a register tile of output
+            /// columns shares every panel load. `b` is then read once per
+            /// row block instead of once per row.
+            ///
+            /// Bit-identity: every output element starts from `+0.0` and
+            /// adds its `a[i][p] * b[j][p]` terms in `p`-ascending order, one
+            /// multiply then one add each, skipping none — the operation
+            /// sequence of the scalar reference. A partial sum crosses a
+            /// chunk boundary through `out_rows` as an exact `f32`. Padding
+            /// lanes of a short block compute on zeros and are never stored.
+            ///
+            /// # Safety
+            ///
+            /// Caller must ensure the module's target feature is available.
+            #[target_feature(enable = $feature)]
+            pub(crate) unsafe fn gemm_a_bt_rows(
+                a_rows: &[f32],
+                b: &[f32],
+                out_rows: &mut [f32],
+                k: usize,
+                n: usize,
+            ) {
+                // The tiles read `a` and `b` through raw pointers: these
+                // checks are what keeps every such read in bounds.
+                assert!(k > 0 && n > 0, "callers shortcut empty a·bᵀ products");
+                let rows = out_rows.len() / n;
+                assert_eq!(out_rows.len(), rows * n, "output must hold whole rows of length n");
+                assert!(a_rows.len() >= rows * k, "lhs block shorter than output rows");
+                assert!(b.len() >= n * k, "rhs shorter than [n x k]");
+                let mut panel = [0.0f32; super::A_BT_KC * 2 * $lanes];
+                let mut r = 0;
+                while r < rows {
+                    let take = (rows - r).min(2 * $lanes);
+                    let a_blk = &a_rows[r * k..(r + take) * k];
+                    let out_blk = &mut out_rows[r * n..(r + take) * n];
+                    // Twelve accumulators either way: 2 vectors × 6 columns,
+                    // or 1 vector × 12 columns for a block of at most
+                    // `$lanes` rows.
+                    if take > $lanes {
+                        a_bt_block::<2, 6>(a_blk, b, out_blk, k, n, &mut panel);
+                    } else {
+                        a_bt_block::<1, 12>(a_blk, b, out_blk, k, n, &mut panel);
+                    }
+                    r += take;
+                }
+            }
+
+            /// One block of at most `V * $lanes` rows of [`gemm_a_bt_rows`],
+            /// in register tiles of `C` output columns (single columns for
+            /// the remainder).
+            ///
+            /// # Safety
+            ///
+            /// Caller must ensure the module's target feature is available,
+            /// `a_blk` holds `out_blk.len() / n <= V * $lanes` rows of length
+            /// `k`, `b` holds `n * k` values and `panel` holds at least
+            /// `A_BT_KC * V * $lanes`.
+            #[target_feature(enable = $feature)]
+            unsafe fn a_bt_block<const V: usize, const C: usize>(
+                a_blk: &[f32],
+                b: &[f32],
+                out_blk: &mut [f32],
+                k: usize,
+                n: usize,
+                panel: &mut [f32],
+            ) {
+                let rows = out_blk.len() / n;
+                let width = V * $lanes;
+                let mut p0 = 0;
+                while p0 < k {
+                    let kc = (k - p0).min(super::A_BT_KC);
+                    for (pp, dst) in panel[..kc * width].chunks_exact_mut(width).enumerate() {
+                        for (i, d) in dst.iter_mut().enumerate() {
+                            *d = if i < rows { a_blk[i * k + p0 + pp] } else { 0.0 };
+                        }
+                    }
+                    let mut j = 0;
+                    while j + C <= n {
+                        a_bt_tile::<V, C>(panel, b, out_blk, rows, k, n, p0, kc, j);
+                        j += C;
+                    }
+                    while j < n {
+                        a_bt_tile::<V, 1>(panel, b, out_blk, rows, k, n, p0, kc, j);
+                        j += 1;
+                    }
+                    p0 += kc;
+                }
+            }
+
+            /// Output columns `j..j + C` of one row block over the packed
+            /// chunk `p0..p0 + kc`: accumulators start at `+0.0` on the first
+            /// chunk and resume from `out_blk` on later ones.
+            ///
+            /// # Safety
+            ///
+            /// Caller must ensure the module's target feature is available,
+            /// `panel` holds `kc` packed rows of `V * $lanes` values,
+            /// `p0 + kc <= k`, `j + C <= n`, `b` holds `n * k` values and
+            /// `out_blk` holds `rows <= V * $lanes` rows of length `n`.
+            #[target_feature(enable = $feature)]
+            #[allow(clippy::too_many_arguments)]
+            unsafe fn a_bt_tile<const V: usize, const C: usize>(
+                panel: &[f32],
+                b: &[f32],
+                out_blk: &mut [f32],
+                rows: usize,
+                k: usize,
+                n: usize,
+                p0: usize,
+                kc: usize,
+                j: usize,
+            ) {
+                let width = V * $lanes;
+                debug_assert!(panel.len() >= kc * width && p0 + kc <= k && j + C <= n);
+                debug_assert!(b.len() >= n * k && out_blk.len() >= rows * n);
+                let mut acc = [[$set1(0.0); V]; C];
+                if p0 > 0 {
+                    for (c, acc_c) in acc.iter_mut().enumerate() {
+                        for (v, a) in acc_c.iter_mut().enumerate() {
+                            let mut lanes = [0.0f32; $lanes];
+                            for (l, x) in lanes.iter_mut().enumerate() {
+                                let i = v * $lanes + l;
+                                if i < rows {
+                                    *x = out_blk[i * n + j + c];
+                                }
+                            }
+                            *a = $load(lanes.as_ptr());
+                        }
+                    }
+                }
+                // In bounds: panel row `pp < kc` spans `width` values, and
+                // `b[(j + c) * k + p0 + pp]` with `c < C`, `pp < kc` stays
+                // below `n * k` by the caller's contract.
+                let pa = panel.as_ptr();
+                let pb = b.as_ptr().add(j * k + p0);
+                for pp in 0..kc {
+                    let mut va = [$set1(0.0); V];
+                    for (v, x) in va.iter_mut().enumerate() {
+                        *x = $load(pa.add(pp * width + v * $lanes));
+                    }
+                    for (c, acc_c) in acc.iter_mut().enumerate() {
+                        let vb = $set1(*pb.add(c * k + pp));
+                        for (a, &x) in acc_c.iter_mut().zip(&va) {
+                            *a = super::$muladd(x, vb, *a);
+                        }
+                    }
+                }
+                for (c, acc_c) in acc.iter().enumerate() {
+                    for (v, a) in acc_c.iter().enumerate() {
+                        let mut lanes = [0.0f32; $lanes];
+                        $store(lanes.as_mut_ptr(), *a);
+                        for (l, &x) in lanes.iter().enumerate() {
+                            let i = v * $lanes + l;
+                            if i < rows {
+                                out_blk[i * n + j + c] = x;
+                            }
+                        }
+                    }
                 }
             }
 

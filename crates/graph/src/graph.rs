@@ -96,6 +96,14 @@ impl Graph {
         self.params.len()
     }
 
+    /// Reserves room for `additional` more snapshotted parameters. A caller
+    /// that knows the total up front (a model lowering its layers) then
+    /// snapshots into one exactly sized buffer, instead of one that doubles
+    /// and copies the largest weight already pushed.
+    pub fn reserve_params(&mut self, additional: usize) {
+        self.params.reserve_exact(additional);
+    }
+
     /// The nodes pushed so far, in order.
     pub fn nodes(&self) -> &[Node] {
         &self.nodes

@@ -101,6 +101,31 @@ pub trait Layer: Send + Sync {
     /// Returns an error when the number or shapes of tensors do not match.
     fn set_params(&mut self, params: &[Tensor]) -> Result<()>;
 
+    /// Overwrites the parameters from one flat slice laid out in
+    /// [`Layer::params`] order. The default builds tensors for
+    /// [`Layer::set_params`]; layers with parameters override it to copy
+    /// straight into their existing buffers.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::NnError::ParamLengthMismatch`] when `flat.len()`
+    /// differs from [`Layer::param_len`], or whatever
+    /// [`Layer::set_params`] rejects.
+    fn set_flat_params(&mut self, flat: &[f32]) -> Result<()> {
+        let expected = self.param_len();
+        if flat.len() != expected {
+            return Err(crate::NnError::ParamLengthMismatch { expected, actual: flat.len() });
+        }
+        let mut rest = flat;
+        let mut tensors = Vec::new();
+        for p in self.params() {
+            let (head, tail) = rest.split_at(p.len());
+            tensors.push(Tensor::from_vec(head.to_vec(), p.dims())?);
+            rest = tail;
+        }
+        self.set_params(&tensors)
+    }
+
     /// Resets all parameter gradients to zero.
     fn zero_grad(&mut self);
 

@@ -11,6 +11,22 @@ use crate::error::NnError;
 use crate::layer::{Layer, LayerLowering};
 use crate::Result;
 
+/// Copies `flat` into `params` in order, in place: the
+/// [`Layer::set_flat_params`] of the layers that own a weight and a bias.
+fn copy_into(flat: &[f32], params: [&mut Tensor; 2]) -> Result<()> {
+    let expected = params.iter().map(|p| p.len()).sum();
+    if flat.len() != expected {
+        return Err(NnError::ParamLengthMismatch { expected, actual: flat.len() });
+    }
+    let mut rest = flat;
+    for p in params {
+        let (head, tail) = rest.split_at(p.len());
+        p.as_mut_slice().copy_from_slice(head);
+        rest = tail;
+    }
+    Ok(())
+}
+
 // ---------------------------------------------------------------------------
 // Linear
 // ---------------------------------------------------------------------------
@@ -193,6 +209,10 @@ impl Layer for Linear {
         Ok(())
     }
 
+    fn set_flat_params(&mut self, flat: &[f32]) -> Result<()> {
+        copy_into(flat, [&mut self.weight, &mut self.bias])
+    }
+
     fn zero_grad(&mut self) {
         self.grad_weight.fill_zero();
         self.grad_bias.fill_zero();
@@ -303,6 +323,10 @@ impl Layer for Conv2d {
         self.weight = params[0].clone();
         self.bias = params[1].clone();
         Ok(())
+    }
+
+    fn set_flat_params(&mut self, flat: &[f32]) -> Result<()> {
+        copy_into(flat, [&mut self.weight, &mut self.bias])
     }
 
     fn zero_grad(&mut self) {

@@ -113,6 +113,7 @@ impl<'m> LoweringRequest<'m> {
     /// reports errors.
     pub fn lower(&self) -> fuse_graph::Result<Graph> {
         let mut graph = Graph::new(TensorMeta::f32(&self.input_dims));
+        graph.reserve_params(self.model.param_len());
         for layer in self.model.layers() {
             let name = layer.name();
             let Some(lowering) = layer.lowering() else {

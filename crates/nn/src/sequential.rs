@@ -135,18 +135,11 @@ impl Sequential {
                 actual: flat.len(),
             });
         }
-        let mut offset = 0usize;
+        let mut rest = flat;
         for layer in &mut self.layers {
-            let shapes: Vec<Vec<usize>> =
-                layer.params().iter().map(|p| p.dims().to_vec()).collect();
-            let mut new_params = Vec::with_capacity(shapes.len());
-            for dims in shapes {
-                let len: usize = dims.iter().product();
-                let t = Tensor::from_vec(flat[offset..offset + len].to_vec(), &dims)?;
-                offset += len;
-                new_params.push(t);
-            }
-            layer.set_params(&new_params)?;
+            let (head, tail) = rest.split_at(layer.param_len());
+            layer.set_flat_params(head)?;
+            rest = tail;
         }
         Ok(())
     }

@@ -189,13 +189,18 @@ fn gemm_a_bt_on(
     }
     let (a, b) = (&a[..m * k], &b[..n * k]);
     if m > 1 && par::parallel_beneficial(m * k * n) {
-        par::par_chunks_mut(out, n, |i, out_row| {
-            be.gemm_a_bt_row(&a[i * k..(i + 1) * k], b, out_row, k);
+        // One contiguous row band per thread, as in `gemm_dispatch_on`: the
+        // backend's row-blocked kernel then reads `b` once per block of rows
+        // instead of once per row. Per-element accumulation order does not
+        // depend on the banding, so any thread count stays bit-identical.
+        let band_rows = m.div_ceil(par::available_threads());
+        par::par_chunks_mut(out, band_rows * n, |band, out_band| {
+            let start = band * band_rows;
+            let rows = out_band.len() / n;
+            be.gemm_a_bt_rows(&a[start * k..(start + rows) * k], b, out_band, k, n);
         });
     } else {
-        for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-            be.gemm_a_bt_row(a_row, b, out_row, k);
-        }
+        be.gemm_a_bt_rows(a, b, out, k, n);
     }
 }
 
@@ -426,6 +431,8 @@ mod tests {
 
     #[test]
     fn parallel_gemm_is_bit_identical_to_serial() {
+        // 37 rows: past the 16-row a·bᵀ block, with bands of 37, 19 and 10
+        // rows at 1, 2 and 4 threads.
         let (m, k, n) = (37, 29, 23);
         let a: Vec<f32> = (0..m * k).map(|i| ((i * 7919) % 1000) as f32 * 1e-3 - 0.5).collect();
         let b: Vec<f32> = (0..k * n).map(|i| ((i * 104_729) % 1000) as f32 * 1e-3 - 0.5).collect();
@@ -434,18 +441,23 @@ mod tests {
                 fuse_parallel::with_min_parallel_work(0, || {
                     let mut out = vec![0.0f32; m * n];
                     gemm(&a, &b, &mut out, m, k, n);
-                    out
+                    let mut out_bt = vec![0.0f32; m * n];
+                    gemm_a_bt(&a, &b, &mut out_bt, m, k, n);
+                    (out, out_bt)
                 })
             })
         };
-        assert_eq!(run(1), run(4));
+        let serial = run(1);
+        assert_eq!(serial, run(2));
+        assert_eq!(serial, run(4));
     }
 
     #[test]
     fn simd_backend_is_bit_identical_to_scalar_for_all_products() {
         use fuse_backend::{with_backend, BackendChoice};
         // Widths off every lane multiple (1, 3, 7, 17) plus aligned 8.
-        for &(m, k, n) in &[(1usize, 1usize, 1usize), (3, 7, 17), (7, 17, 3), (5, 8, 8), (2, 3, 7)]
+        for &(m, k, n) in
+            &[(1usize, 1usize, 1usize), (3, 7, 17), (7, 17, 3), (5, 8, 8), (2, 3, 7), (28, 257, 13)]
         {
             let a: Vec<f32> =
                 (0..m.max(k) * k.max(m)).map(|i| (i % 19) as f32 * 0.3 - 2.0).collect();

@@ -73,20 +73,33 @@ proptest! {
         prop_assert_eq!(serial, parallel);
     }
 
-    /// gemm_a_bt (transposed rhs): parallel rows are bit-identical to serial.
+    /// gemm_a_bt (transposed rhs): parallel row bands at 2 and 4 threads
+    /// are bit-identical to serial, on both backends, past the SIMD
+    /// backend's 16-row block and 256-deep panel chunk.
     #[test]
     fn gemm_a_bt_parallel_matches_serial(
-        m in 1usize..DIM, k in 1usize..DIM, n in 1usize..DIM,
-        data in prop::collection::vec(-4.0f32..4.0, 2 * DIM * DIM)
+        m in 1usize..40, k in 1usize..300, n in 1usize..DIM,
+        data in prop::collection::vec(-4.0f32..4.0, (40 + DIM) * 300)
     ) {
         let a = &data[..m * k];
-        let b = &data[DIM * DIM..DIM * DIM + n * k];
-        let (serial, parallel) = serial_and_parallel(|| {
-            let mut out = vec![0.0f32; m * n];
-            linalg::gemm_a_bt(a, b, &mut out, m, k, n);
-            out
-        });
-        prop_assert_eq!(serial, parallel);
+        let b = &data[40 * 300..40 * 300 + n * k];
+        let run = |choice, threads| {
+            with_threads(threads, || {
+                with_min_parallel_work(0, || {
+                    with_backend(choice, || {
+                        let mut out = vec![0.0f32; m * n];
+                        linalg::gemm_a_bt(a, b, &mut out, m, k, n);
+                        out
+                    })
+                })
+            })
+        };
+        let serial = run(BackendChoice::Scalar, 1);
+        for choice in [BackendChoice::Scalar, BackendChoice::Simd] {
+            for threads in [1, 2, 4] {
+                prop_assert_eq!(&serial, &run(choice, threads), "{} threads={}", choice, threads);
+            }
+        }
     }
 
     /// conv2d forward: the sample-parallel path is bit-identical to serial.

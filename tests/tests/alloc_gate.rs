@@ -12,16 +12,32 @@
 //! is process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
-/// System allocator wrapper that counts every allocation call.
+/// System allocator wrapper that counts every allocation call made by the
+/// calling thread.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // Per thread, not per process: the test harness runs the `#[test]`s
+    // below on parallel threads, and a process-wide counter let one test's
+    // model build land inside the other's measurement window. Thread scope
+    // still sees every allocation of the measured call, because the plan
+    // runs under `with_threads(1)`, so all of its work stays on the calling
+    // thread. A `const` initialiser and a destructor-free `Cell` keep the
+    // counter itself from allocating.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with` fails only while the thread is being torn down, after
+    // anything this gate measures.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -30,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -39,7 +55,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocation_count() -> usize {
-    ALLOCATIONS.load(Ordering::SeqCst)
+    ALLOCATIONS.with(Cell::get)
 }
 
 #[test]
