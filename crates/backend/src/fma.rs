@@ -126,6 +126,8 @@ impl KernelBackend for FmaBackend {
     }
 
     fn gemm_a_bt_row(&self, a_row: &[f32], b: &[f32], out_row: &mut [f32], k: usize) {
+        // The kernel reads `a_row` through raw pointers.
+        crate::assert_a_bt_operands(a_row.len(), b.len(), out_row.len(), k, out_row.len());
         if k == 0 {
             out_row.fill(0.0);
             return;
@@ -135,6 +137,7 @@ impl KernelBackend for FmaBackend {
     }
 
     fn gemm_a_bt_rows(&self, a_rows: &[f32], b: &[f32], out_rows: &mut [f32], k: usize, n: usize) {
+        crate::assert_a_bt_operands(a_rows.len(), b.len(), out_rows.len(), k, n);
         if out_rows.len() > n {
             // Safety: construction proved avx2+fma.
             unsafe { x86::avx2fma::gemm_a_bt_rows(a_rows, b, out_rows, k, n) }

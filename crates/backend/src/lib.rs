@@ -301,6 +301,17 @@ impl std::fmt::Display for BackendChoice {
 /// Read once; garbage fails fast with the typed [`InvalidEnv`] message (the
 /// same behaviour as `FUSE_THREADS` — configuration surfaces that want a
 /// `Result` instead call [`BackendChoice::from_env`] before kernels run).
+/// The operand checks of the `a·bᵀ` kernels (`a` holds `out_len / n` rows
+/// of length `k`, `b` holds `n` rows of length `k`), made in the safe
+/// wrappers of the backends whose kernels read through raw pointers, so a
+/// short operand panics in release builds too instead of being read out of
+/// bounds or silently skipped.
+fn assert_a_bt_operands(a_len: usize, b_len: usize, out_len: usize, k: usize, n: usize) {
+    let rows = out_len.checked_div(n).unwrap_or(0);
+    assert!(a_len >= rows * k, "lhs shorter than its output rows");
+    assert!(b_len >= n * k, "rhs shorter than [n x k]");
+}
+
 fn configured_choice() -> BackendChoice {
     static CONFIG: OnceLock<BackendChoice> = OnceLock::new();
     *CONFIG.get_or_init(|| match BackendChoice::from_env() {
@@ -754,6 +765,102 @@ mod tests {
         for (f, r) in rows_f.iter().zip(&rows_s) {
             assert!(rel(*f, *r) < 1e-4, "gemm_a_bt_rows fma={f} scalar={r}");
         }
+    }
+
+    /// Runs `kernel` on every backend whose kernels read through raw
+    /// pointers — the SSE stamp, the relaxed FMA backend when the host has
+    /// it, and the detected SIMD level last — and expects each to panic with
+    /// `expected`. All but the last run under `catch_unwind`; the last
+    /// panics into the calling test's `#[should_panic(expected)]`.
+    fn panics_on_every_unsafe_backend(expected: &str, kernel: impl Fn(&dyn KernelBackend)) {
+        static SSE: SimdBackend = SimdBackend::SSE;
+        let mut first: Vec<&dyn KernelBackend> = vec![&SSE];
+        if let Some(fma) = fma_backend() {
+            first.push(fma);
+        }
+        for be in first {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| kernel(be)))
+                .expect_err(be.name());
+            let msg = err
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| err.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(msg.contains(expected), "{}: panicked with {msg:?}", be.name());
+        }
+        kernel(backend_for(BackendChoice::Simd));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn gemm_row_rejects_a_short_rhs() {
+        panics_on_every_unsafe_backend("out of range", |be| {
+            be.gemm_row(&[1.0; 4], &[1.0; 4 * 8 - 1], &mut [0.0; 8], false)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "rhs shorter than [k x n]")]
+    fn gemm_rows_rejects_a_short_rhs() {
+        panics_on_every_unsafe_backend("rhs shorter than [k x n]", |be| {
+            be.gemm_rows(&[1.0; 5 * 4], &[1.0; 4 * 16 - 1], &mut [0.0; 5 * 16], 4, 16, false)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "lhs block shorter than output rows")]
+    fn gemm_rows_rejects_a_short_lhs() {
+        panics_on_every_unsafe_backend("lhs block shorter than output rows", |be| {
+            be.gemm_rows(&[1.0; 5 * 4 - 1], &[1.0; 4 * 16], &mut [0.0; 5 * 16], 4, 16, false)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one output column")]
+    fn gemm_rows_rejects_zero_columns() {
+        panics_on_every_unsafe_backend("at least one output column", |be| {
+            be.gemm_rows(&[1.0; 4], &[], &mut [], 4, 0, false)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "operands disagree on k")]
+    fn gemm_at_b_band_rejects_operands_that_disagree_on_k() {
+        panics_on_every_unsafe_backend("operands disagree on k", |be| {
+            be.gemm_at_b_band(&[1.0; 3 * 4], &[1.0; 2 * 5], &mut [0.0; 4 * 5], 0, 4, 5)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "lhs shorter than its output rows")]
+    fn gemm_a_bt_row_rejects_a_short_lhs() {
+        panics_on_every_unsafe_backend("lhs shorter than its output rows", |be| {
+            be.gemm_a_bt_row(&[1.0; 15], &[1.0; 3 * 16], &mut [0.0; 3], 16)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "rhs shorter than [n x k]")]
+    fn gemm_a_bt_rows_rejects_a_short_rhs() {
+        panics_on_every_unsafe_backend("rhs shorter than [n x k]", |be| {
+            be.gemm_a_bt_rows(&[1.0; 5 * 16], &[1.0; 3 * 16 - 1], &mut [0.0; 5 * 3], 16, 3)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "axpy operands must have equal length")]
+    fn axpy_rejects_a_short_operand() {
+        panics_on_every_unsafe_backend("axpy operands must have equal length", |be| {
+            be.axpy(2.0, &[1.0; 15], &mut [0.0; 16])
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "add_assign operands must have equal length")]
+    fn add_assign_rejects_a_short_operand() {
+        panics_on_every_unsafe_backend("add_assign operands must have equal length", |be| {
+            be.add_assign(&mut [0.0; 16], &[1.0; 15])
+        });
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub(crate) fn gemm_at_b_band(
     out_band.fill(0.0);
     let a_rows = a.chunks_exact(m);
     let b_rows = b.chunks_exact(n);
-    debug_assert_eq!(a_rows.len(), b_rows.len(), "lhs and rhs must agree on the shared k extent");
+    assert_eq!(a_rows.len(), b_rows.len(), "operands disagree on k");
     debug_assert_eq!(out_band.len() % n, 0, "output band must hold whole rows of length n");
     for (a_row, b_row) in a_rows.zip(b_rows) {
         for (i, out_row) in out_band.chunks_exact_mut(n).enumerate() {

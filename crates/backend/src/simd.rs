@@ -235,12 +235,14 @@ impl KernelBackend for SimdBackend {
     }
 
     fn gemm_a_bt_row(&self, a_row: &[f32], b: &[f32], out_row: &mut [f32], k: usize) {
+        crate::assert_a_bt_operands(a_row.len(), b.len(), out_row.len(), k, out_row.len());
         // Unrolled independent accumulators at every level: the win is ILP
         // (eight dependency chains instead of one), not lane width.
         gemm_a_bt_row_unrolled(a_row, b, out_row, k);
     }
 
     fn gemm_a_bt_rows(&self, a_rows: &[f32], b: &[f32], out_rows: &mut [f32], k: usize, n: usize) {
+        crate::assert_a_bt_operands(a_rows.len(), b.len(), out_rows.len(), k, n);
         // A single row keeps the unrolled row kernel: a row block would read
         // all of `b` just the same, with every other lane padding.
         let blocked = out_rows.len() > n;

@@ -215,9 +215,13 @@ macro_rules! simd_level {
                 accumulate: bool,
             ) {
                 const R: usize = 4;
+                // Hard asserts, not debug ones: the tiles below read `b`
+                // through raw pointers, so these checks are what keeps the
+                // safe `gemm_rows` wrappers in bounds in release builds.
+                assert!(n > 0, "gemm_rows needs at least one output column");
                 let rows = out_rows.len() / n;
-                debug_assert!(a_rows.len() >= rows * k, "lhs block shorter than output rows");
-                debug_assert!(b.len() >= k * n, "rhs shorter than [k x n]");
+                assert!(a_rows.len() >= rows * k, "lhs block shorter than output rows");
+                assert!(b.len() >= k * n, "rhs shorter than [k x n]");
                 let mut r = 0;
                 while r + R <= rows {
                     let mut j = 0;
@@ -488,7 +492,7 @@ macro_rules! simd_level {
                 out_band.fill(0.0);
                 let a_rows = a.chunks_exact(m);
                 let b_rows = b.chunks_exact(n);
-                debug_assert_eq!(a_rows.len(), b_rows.len(), "operands disagree on k");
+                assert_eq!(a_rows.len(), b_rows.len(), "operands disagree on k");
                 for (a_row, b_row) in a_rows.zip(b_rows) {
                     for (i, out_row) in out_band.chunks_exact_mut(n).enumerate() {
                         let a_pi = a_row[row0 + i];

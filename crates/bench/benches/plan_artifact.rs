@@ -26,7 +26,7 @@ fn compile_mars(model: &Sequential, max_batch: usize) -> ExecPlan {
 }
 
 /// Serializing the compiled MARS plan to `.fplan` bytes (header + payload +
-/// FNV-1a checksum) and the JSON checkpoint encode it displaces.
+/// CRC-32C checksum) and the JSON checkpoint encode it displaces.
 fn bench_artifact_encode(c: &mut Criterion) {
     let model = mars_model();
     let plan = compile_mars(&model, 32);

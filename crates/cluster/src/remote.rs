@@ -167,9 +167,15 @@ impl HostShard {
                 Err(NetError::Disconnected) => return Ok(()),
                 Err(e) => return Err(net_error(e)),
             };
-            let request = WireRequest::decode(&body).map_err(net_error)?;
-            let shutting_down = matches!(request, WireRequest::Shutdown);
-            let response = Self::execute(tx, request)?;
+            // A request that does not decode gets a typed error reply; the
+            // shard keeps serving the next one.
+            let (response, shutting_down) = match WireRequest::decode(&body) {
+                Ok(request) => {
+                    let shutting_down = matches!(request, WireRequest::Shutdown);
+                    (Self::execute(tx, request)?, shutting_down)
+                }
+                Err(e) => (WireResponse::Error(WireError::BadRequest(e.to_string())), false),
+            };
             match server.respond(&response.encode()) {
                 Ok(()) => {}
                 Err(NetError::Disconnected) => return Ok(()),

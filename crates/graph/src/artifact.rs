@@ -6,18 +6,20 @@
 //! parameter snapshot — so an edge deployment can load and serve it against
 //! `fuse-tensor`/`fuse-backend` alone, with no `fuse-nn` lowering stack and
 //! no startup compilation. The byte layout is specified normatively in
-//! `REPRODUCIBILITY.md`; in short:
+//! `REPRODUCIBILITY.md`; in short, the shared [`fuse_tensor::codec`]
+//! container:
 //!
 //! ```text
-//! magic "FPLN" | format version u32 | payload length u64 | payload | FNV-1a-64 checksum u64
+//! magic "FPLN" | format version u32 | payload length u64 | payload | CRC-32C u32
 //! ```
 //!
 //! All integers are little-endian; `f32` values are stored as the
 //! little-endian bytes of their IEEE-754 bit patterns, so a round trip is
 //! bit-exact (NaN payloads included). Format v2 appends two length-prefixed
 //! tables after the f32 parameters — int8 quantized weights and per-channel
-//! f32 scales — and adds the quantized step tags; readers accept
-//! `v1..=v2`, decoding v1 artifacts to float plans with empty quantized
+//! f32 scales — and adds the quantized step tags; v3 keeps the v2 payload
+//! and replaces the FNV-1a-64 `u64` trailer with CRC-32C. Readers accept
+//! `v1..=v3`, decoding v1 artifacts to float plans with empty quantized
 //! sections. Every malformed input — wrong magic,
 //! unknown version, short file, corrupt payload, or a structurally valid
 //! payload describing an inconsistent plan — is a typed [`GraphError`];
@@ -28,6 +30,7 @@ use std::fs;
 use std::ops::Range;
 use std::path::Path;
 
+use fuse_tensor::codec::{decode_f32s, encode_f32s, ContainerError, Format};
 use fuse_tensor::Conv2dSpec;
 
 use crate::error::GraphError;
@@ -40,21 +43,30 @@ use crate::Result;
 pub const FPLAN_MAGIC: [u8; 4] = *b"FPLN";
 
 /// The artifact format version this build writes. Readers accept
-/// `1..=FPLAN_VERSION`: v1 is the float-only layout, v2 appends the int8
-/// quantized-weight and per-channel scale tables (and may carry quantized
-/// step tags). A v1 artifact decodes to a float plan with empty quantized
-/// sections.
+/// `FPLAN_MIN_VERSION..=FPLAN_VERSION`: v1 is the float-only layout, v2
+/// appends the int8 quantized-weight and per-channel scale tables (and may
+/// carry quantized step tags), and v3 keeps the v2 payload under a CRC-32C
+/// trailer instead of FNV-1a-64. A v1 artifact decodes to a float plan with
+/// empty quantized sections.
 ///
 /// Any change to the byte layout — new step tags included — must bump this;
 /// readers reject every newer or unknown version with
 /// [`GraphError::UnsupportedVersion`] rather than guessing.
-pub const FPLAN_VERSION: u32 = 2;
+pub const FPLAN_VERSION: u32 = 3;
 
 /// The oldest artifact format version this build still reads.
 pub const FPLAN_MIN_VERSION: u32 = 1;
 
-const HEADER_LEN: usize = 4 + 4 + 8;
-const CHECKSUM_LEN: usize = 8;
+/// The `.fplan` container: every version has the length word; v3 moved
+/// from FNV-1a-64 to CRC-32C.
+pub const FPLAN_FORMAT: Format = Format {
+    magic: FPLAN_MAGIC,
+    min_version: FPLAN_MIN_VERSION,
+    max_version: FPLAN_VERSION,
+    len_since: 1,
+    crc_since: 3,
+    max_payload: u64::MAX,
+};
 
 const TAG_CONV2D: u8 = 0;
 const TAG_CONV1X1: u8 = 1;
@@ -70,27 +82,15 @@ const SRC_ARENA: u8 = 1;
 
 const DTYPE_F32: u8 = 0;
 
-/// FNV-1a 64-bit over `bytes` — dependency-free, byte-order independent, and
-/// plenty to catch truncation and bit rot (this is an integrity check, not an
-/// authenticity one).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 // ---------------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------------
 
-struct Enc {
-    buf: Vec<u8>,
+struct Enc<'a> {
+    buf: &'a mut Vec<u8>,
 }
 
-impl Enc {
+impl Enc<'_> {
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -102,9 +102,6 @@ impl Enc {
     }
     fn usize(&mut self, v: usize) {
         self.u64(v as u64);
-    }
-    fn f32(&mut self, v: f32) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
     fn i8s(&mut self, v: &[i8]) {
         self.buf.extend(v.iter().map(|&x| x as u8));
@@ -144,8 +141,8 @@ impl Enc {
     }
 }
 
-fn encode_payload(plan: &ExecPlan) -> Vec<u8> {
-    let mut e = Enc { buf: Vec::new() };
+fn encode_payload(plan: &ExecPlan, buf: &mut Vec<u8>) {
+    let mut e = Enc { buf };
 
     let sig = &plan.signature;
     e.u32(sig.layer_names().len() as u32);
@@ -283,18 +280,13 @@ fn encode_payload(plan: &ExecPlan) -> Vec<u8> {
     }
 
     e.usize(plan.params.len());
-    for &p in &plan.params {
-        e.f32(p);
-    }
+    encode_f32s(e.buf, &plan.params);
 
     // v2 quantized sections: length-prefixed int8 weights, then f32 scales.
     e.usize(plan.qweights.len());
     e.i8s(&plan.qweights);
     e.usize(plan.qscales.len());
-    for &s in &plan.qscales {
-        e.f32(s);
-    }
-    e.buf
+    encode_f32s(e.buf, &plan.qscales);
 }
 
 // ---------------------------------------------------------------------------
@@ -330,8 +322,14 @@ impl<'a> Dec<'a> {
         usize::try_from(v)
             .map_err(|_| GraphError::Malformed(format!("value {v} exceeds the address space")))
     }
-    fn f32(&mut self) -> Result<f32> {
-        Ok(f32::from_bits(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes"))))
+    /// Reads `count` f32 values, checking the count against the bytes left
+    /// before allocating, so a lying count is a typed truncation.
+    fn f32s(&mut self, count: usize) -> Result<Vec<f32>> {
+        let available = self.bytes.len() - self.pos;
+        match count.checked_mul(4) {
+            Some(need) if need <= available => Ok(decode_f32s(self.take(need)?)),
+            _ => Err(GraphError::Truncated { needed: count.saturating_mul(4), available }),
+        }
     }
     fn i8s(&mut self, n: usize) -> Result<Vec<i8>> {
         Ok(self.take(n)?.iter().map(|&b| b as i8).collect())
@@ -486,15 +484,7 @@ fn decode_payload(payload: &[u8], version: u32) -> Result<ExecPlan> {
     }
 
     let param_count = d.usize()?;
-    // Guard the allocation against a lying count before reading the floats.
-    let available = payload.len() - d.pos;
-    if param_count.checked_mul(4).map(|need| need > available).unwrap_or(true) {
-        return Err(GraphError::Truncated { needed: param_count.saturating_mul(4), available });
-    }
-    let mut params = Vec::with_capacity(param_count);
-    for _ in 0..param_count {
-        params.push(d.f32()?);
-    }
+    let params = d.f32s(param_count)?;
 
     // v2 quantized sections; a v1 artifact simply has none.
     let (qweights, qscales) = if version >= 2 {
@@ -505,18 +495,7 @@ fn decode_payload(payload: &[u8], version: u32) -> Result<ExecPlan> {
         }
         let qweights = d.i8s(qweight_count)?;
         let qscale_count = d.usize()?;
-        let available = payload.len() - d.pos;
-        if qscale_count.checked_mul(4).map(|need| need > available).unwrap_or(true) {
-            return Err(GraphError::Truncated {
-                needed: qscale_count.saturating_mul(4),
-                available,
-            });
-        }
-        let mut qscales = Vec::with_capacity(qscale_count);
-        for _ in 0..qscale_count {
-            qscales.push(d.f32()?);
-        }
-        (qweights, qscales)
+        (qweights, d.f32s(qscale_count)?)
     } else {
         (Vec::new(), Vec::new())
     };
@@ -829,6 +808,25 @@ fn validate(plan: &ExecPlan) -> Result<()> {
     Ok(())
 }
 
+/// Maps a container failure onto the artifact's typed errors.
+fn container_error(e: ContainerError) -> GraphError {
+    match e {
+        ContainerError::Truncated { needed, available } => {
+            GraphError::Truncated { needed, available }
+        }
+        ContainerError::BadMagic { found } => GraphError::BadMagic { found },
+        ContainerError::UnsupportedVersion { found } => {
+            GraphError::UnsupportedVersion { found, supported: FPLAN_VERSION }
+        }
+        ContainerError::ChecksumMismatch { stored, computed } => {
+            GraphError::ChecksumMismatch { stored, computed }
+        }
+        e @ (ContainerError::TooLarge { .. } | ContainerError::Trailing { .. }) => {
+            GraphError::Malformed(e.to_string())
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Public API
 // ---------------------------------------------------------------------------
@@ -837,15 +835,9 @@ impl ExecPlan {
     /// Serializes the plan into a self-contained `.fplan` byte buffer
     /// (header, payload, checksum — see the module docs for the layout).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let payload = encode_payload(self);
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + CHECKSUM_LEN);
-        out.extend_from_slice(&FPLAN_MAGIC);
-        out.extend_from_slice(&FPLAN_VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        let checksum = fnv1a64(&payload);
-        out.extend_from_slice(&payload);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
+        // The tables, plus headroom for the signature and the steps.
+        let capacity = 4 * (self.params.len() + self.qscales.len()) + self.qweights.len() + 4096;
+        FPLAN_FORMAT.seal_with(FPLAN_VERSION, capacity, |buf| encode_payload(self, buf))
     }
 
     /// Deserializes a plan from `.fplan` bytes, verifying magic, version,
@@ -857,44 +849,7 @@ impl ExecPlan {
     /// [`GraphError::Truncated`], [`GraphError::ChecksumMismatch`] or
     /// [`GraphError::Malformed`], depending on what is wrong; never panics.
     pub fn from_bytes(bytes: &[u8]) -> Result<ExecPlan> {
-        if bytes.len() < HEADER_LEN {
-            return Err(GraphError::Truncated { needed: HEADER_LEN, available: bytes.len() });
-        }
-        let magic: [u8; 4] = bytes[0..4].try_into().expect("4 bytes");
-        if magic != FPLAN_MAGIC {
-            return Err(GraphError::BadMagic { found: magic });
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-        if !(FPLAN_MIN_VERSION..=FPLAN_VERSION).contains(&version) {
-            return Err(GraphError::UnsupportedVersion {
-                found: version,
-                supported: FPLAN_VERSION,
-            });
-        }
-        let payload_len = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-        let payload_len = usize::try_from(payload_len).map_err(|_| {
-            GraphError::Malformed(format!("payload length {payload_len} exceeds the address space"))
-        })?;
-        let expected_total = HEADER_LEN
-            .checked_add(payload_len)
-            .and_then(|n| n.checked_add(CHECKSUM_LEN))
-            .ok_or_else(|| GraphError::Malformed("payload length overflows".into()))?;
-        if bytes.len() < expected_total {
-            return Err(GraphError::Truncated { needed: expected_total, available: bytes.len() });
-        }
-        if bytes.len() > expected_total {
-            return Err(GraphError::Malformed(format!(
-                "{} trailing bytes after the checksum",
-                bytes.len() - expected_total
-            )));
-        }
-        let payload = &bytes[HEADER_LEN..HEADER_LEN + payload_len];
-        let stored =
-            u64::from_le_bytes(bytes[expected_total - CHECKSUM_LEN..].try_into().expect("8 bytes"));
-        let computed = fnv1a64(payload);
-        if stored != computed {
-            return Err(GraphError::ChecksumMismatch { stored, computed });
-        }
+        let (version, payload) = FPLAN_FORMAT.open(bytes).map_err(container_error)?;
         decode_payload(payload, version)
     }
 
@@ -991,7 +946,7 @@ mod tests {
         assert!(matches!(ExecPlan::from_bytes(&[]), Err(GraphError::Truncated { .. })));
 
         let mut flipped = bytes.clone();
-        let mid = HEADER_LEN + (bytes.len() - HEADER_LEN - CHECKSUM_LEN) / 2;
+        let mid = bytes.len() / 2;
         flipped[mid] ^= 0x40;
         assert!(matches!(ExecPlan::from_bytes(&flipped), Err(GraphError::ChecksumMismatch { .. })));
 
@@ -1004,17 +959,42 @@ mod tests {
     /// re-stamping length and checksum so payload-level corruptions reach
     /// the decoder instead of tripping the checksum.
     fn reassemble(payload: &[u8], version: u32) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + CHECKSUM_LEN);
-        out.extend_from_slice(&FPLAN_MAGIC);
-        out.extend_from_slice(&version.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(payload);
-        out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-        out
+        FPLAN_FORMAT.seal(version, payload)
     }
 
     fn payload_of(bytes: &[u8]) -> Vec<u8> {
-        bytes[HEADER_LEN..bytes.len() - CHECKSUM_LEN].to_vec()
+        FPLAN_FORMAT.open(bytes).unwrap().1.to_vec()
+    }
+
+    #[test]
+    fn every_flipped_byte_of_a_v3_artifact_is_a_typed_error() {
+        let bytes = pooled_plan().quantize().unwrap().to_bytes();
+        assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), 3);
+        for i in 0..bytes.len() {
+            for bit in [0x01u8, 0x80] {
+                let mut bad = bytes.clone();
+                bad[i] ^= bit;
+                assert!(ExecPlan::from_bytes(&bad).is_err(), "flipping byte {i} went unnoticed");
+            }
+        }
+    }
+
+    #[test]
+    fn v2_artifacts_under_the_fnv_trailer_still_decode() {
+        let plan = pooled_plan().quantize().unwrap();
+        let payload = payload_of(&plan.to_bytes());
+        let v2 = reassemble(&payload, 2);
+        assert_eq!(v2.len(), plan.to_bytes().len() + 4, "v2 carries a u64 FNV-1a-64 trailer");
+        let mut loaded = ExecPlan::from_bytes(&v2).unwrap();
+        let mut original = plan;
+        let input = Tensor::randn(&[2, 2, 4, 4], 1.0, 79);
+        assert_eq!(
+            loaded.run(input.as_slice(), 2).unwrap(),
+            original.run(input.as_slice(), 2).unwrap()
+        );
+        let mut flipped = v2;
+        flipped[20] ^= 1;
+        assert!(matches!(ExecPlan::from_bytes(&flipped), Err(GraphError::ChecksumMismatch { .. })));
     }
 
     #[test]

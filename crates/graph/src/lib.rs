@@ -69,7 +69,7 @@ pub mod op;
 mod passes;
 pub mod plan;
 
-pub use artifact::{FPLAN_MAGIC, FPLAN_MIN_VERSION, FPLAN_VERSION};
+pub use artifact::{FPLAN_FORMAT, FPLAN_MAGIC, FPLAN_MIN_VERSION, FPLAN_VERSION};
 pub use error::GraphError;
 pub use graph::{Graph, ShapeSignature};
 pub use meta::{DType, TensorMeta};

@@ -4,10 +4,10 @@
 //! The stack, bottom to top:
 //!
 //! 1. [`frame`] — the `FNET` container every byte on a link travels in:
-//!    ASCII magic, version, explicit payload length, FNV-1a-64 trailer
-//!    (the same discipline as the `FCKP` checkpoint and `FPLN` plan
-//!    containers). Corruption surfaces as typed errors, never as silently
-//!    wrong bytes.
+//!    ASCII magic, version, explicit payload length, CRC-32C trailer (the
+//!    shared `fuse_tensor::codec` container the `FCKP` checkpoint and
+//!    `FPLN` plan artifact also use). Corruption surfaces as typed errors,
+//!    never as silently wrong bytes.
 //! 2. [`wire`] — primitive little-endian encoders/decoders. Floats travel
 //!    as IEEE-754 bit patterns, so every value decodes to exactly the bits
 //!    that were encoded: the workspace's bit-reproducibility contract
@@ -37,7 +37,7 @@ pub mod transport;
 pub mod wire;
 
 pub use error::NetError;
-pub use frame::{decode_frame, encode_frame, fnv1a64, FRAME_MAGIC, FRAME_VERSION};
+pub use frame::{decode_frame, encode_frame, FRAME_MAGIC, FRAME_VERSION};
 pub use message::{
     WireCheckpointMeta, WireCloseReport, WireError, WireFlushReport, WireGauge, WireRequest,
     WireResponse,

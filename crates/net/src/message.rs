@@ -222,6 +222,9 @@ pub enum WireError {
     DuplicateSession(u64),
     /// Any other failure, carried as its display string.
     Other(String),
+    /// The shard could not decode the request; carries the decode error's
+    /// display string. The shard keeps serving.
+    BadRequest(String),
 }
 
 impl From<&ServeError> for WireError {
@@ -240,6 +243,7 @@ impl From<WireError> for ServeError {
             WireError::UnknownSession(id) => ServeError::UnknownSession(id),
             WireError::DuplicateSession(id) => ServeError::DuplicateSession(id),
             WireError::Other(msg) => ServeError::Remote(msg),
+            WireError::BadRequest(msg) => ServeError::Remote(format!("bad request: {msg}")),
         }
     }
 }
@@ -335,12 +339,9 @@ fn encode_checkpoint_opt(w: &mut Writer, ckpt: &Option<Checkpoint>) {
 fn decode_checkpoint_opt(r: &mut Reader<'_>) -> Result<Option<Checkpoint>> {
     match r.u8("checkpoint flag")? {
         0 => Ok(None),
-        1 => {
-            let bytes = r.blob("checkpoint bytes")?;
-            Checkpoint::from_binary(&bytes)
-                .map(Some)
-                .map_err(|e| NetError::Decode(format!("checkpoint: {e}")))
-        }
+        1 => Checkpoint::from_binary(r.blob_ref("checkpoint bytes")?)
+            .map(Some)
+            .map_err(|e| NetError::Decode(format!("checkpoint: {e}"))),
         other => Err(NetError::Decode(format!("bad checkpoint flag {other}"))),
     }
 }
@@ -653,6 +654,10 @@ fn encode_wire_error(w: &mut Writer, e: &WireError) {
             w.u8(2);
             w.str(msg);
         }
+        WireError::BadRequest(msg) => {
+            w.u8(3);
+            w.str(msg);
+        }
     }
 }
 
@@ -661,6 +666,7 @@ fn decode_wire_error(r: &mut Reader<'_>) -> Result<WireError> {
         0 => WireError::UnknownSession(r.u64("error session")?),
         1 => WireError::DuplicateSession(r.u64("error session")?),
         2 => WireError::Other(r.str("error message")?),
+        3 => WireError::BadRequest(r.str("error message")?),
         other => return Err(NetError::Decode(format!("bad error tag {other}"))),
     })
 }
@@ -1148,6 +1154,7 @@ mod tests {
             WireResponse::Error(WireError::UnknownSession(5)),
             WireResponse::Error(WireError::DuplicateSession(6)),
             WireResponse::Error(WireError::Other("shard on fire".into())),
+            WireResponse::Error(WireError::BadRequest("bad request tag 99".into())),
         ] {
             assert_eq!(format!("{:?}", assert_response_round_trips(&resp)), format!("{resp:?}"));
         }
@@ -1203,6 +1210,10 @@ mod tests {
             ServeError::from(WireError::Other("boom".into())),
             ServeError::Remote(msg) if msg == "boom"
         ));
+        assert_eq!(
+            ServeError::from(WireError::BadRequest("bad request tag 99".into())),
+            ServeError::Remote("bad request: bad request tag 99".into())
+        );
         assert_eq!(WireError::from(&ServeError::UnknownSession(9)), WireError::UnknownSession(9));
     }
 

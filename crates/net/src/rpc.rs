@@ -43,24 +43,35 @@ pub const DEFAULT_RPC_TIMEOUT: Duration = Duration::from_millis(50);
 /// Default retransmission budget per call.
 pub const DEFAULT_RPC_ATTEMPTS: u32 = 200;
 
+/// Bytes of the envelope in front of every message body.
+const ENVELOPE_LEN: usize = 9;
+
 fn encode_envelope(kind: u8, seq: u64, body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(9 + body.len());
+    let mut out = Vec::with_capacity(ENVELOPE_LEN + body.len());
     out.push(kind);
     out.extend_from_slice(&seq.to_le_bytes());
     out.extend_from_slice(body);
     out
 }
 
-fn decode_envelope(payload: &[u8]) -> Result<(u8, u64, &[u8])> {
-    if payload.len() < 9 {
+/// Reads the envelope's kind and sequence number; the body is
+/// `payload[ENVELOPE_LEN..]`.
+fn decode_envelope(payload: &[u8]) -> Result<(u8, u64)> {
+    if payload.len() < ENVELOPE_LEN {
         return Err(NetError::Truncated { what: "rpc envelope" });
     }
     let kind = payload[0];
     if kind != KIND_REQUEST && kind != KIND_RESPONSE {
         return Err(NetError::Decode(format!("unknown rpc envelope kind {kind}")));
     }
-    let seq = u64::from_le_bytes(payload[1..9].try_into().expect("sliced to 8 bytes"));
-    Ok((kind, seq, &payload[9..]))
+    let seq = u64::from_le_bytes(payload[1..ENVELOPE_LEN].try_into().expect("sliced to 8 bytes"));
+    Ok((kind, seq))
+}
+
+/// Strips the envelope off a received payload in place, leaving the body.
+fn into_body(mut payload: Vec<u8>) -> Vec<u8> {
+    payload.drain(..ENVELOPE_LEN);
+    payload
 }
 
 /// The calling side: one outstanding request at a time, retransmitted until
@@ -118,9 +129,9 @@ impl<T: Transport> RpcClient<T> {
                 match self.transport.recv_timeout(deadline - now)? {
                     None => break, // retransmit
                     Some(payload) => {
-                        let (kind, seq, resp) = decode_envelope(&payload)?;
+                        let (kind, seq) = decode_envelope(&payload)?;
                         if kind == KIND_RESPONSE && seq == self.seq {
-                            return Ok(resp.to_vec());
+                            return Ok(into_body(payload));
                         }
                         // A stale duplicate response (or our own kind echoed
                         // by a buggy peer): ignore and keep waiting.
@@ -171,7 +182,7 @@ impl<T: Transport> RpcServer<T> {
             let Some(payload) = self.transport.recv_timeout(deadline - now)? else {
                 return Ok(None);
             };
-            let (kind, seq, body) = decode_envelope(&payload)?;
+            let (kind, seq) = decode_envelope(&payload)?;
             if kind != KIND_REQUEST {
                 continue;
             }
@@ -188,7 +199,7 @@ impl<T: Transport> RpcServer<T> {
                 }
                 _ => {
                     self.pending_seq = Some(seq);
-                    return Ok(Some(body.to_vec()));
+                    return Ok(Some(into_body(payload)));
                 }
             }
         }

@@ -6,6 +6,8 @@
 //! contract extends across hosts. Collection lengths are `u64`; strings are
 //! length-prefixed UTF-8.
 
+use fuse_tensor::codec::{decode_f32s, encode_f32s};
+
 use crate::error::NetError;
 use crate::Result;
 
@@ -66,9 +68,7 @@ impl Writer {
     /// Appends a length-prefixed `f32` slice (bit patterns).
     pub fn f32_slice(&mut self, v: &[f32]) {
         self.u64(v.len() as u64);
-        for &x in v {
-            self.f32(x);
-        }
+        encode_f32s(&mut self.buf, v);
     }
 }
 
@@ -166,14 +166,19 @@ impl<'a> Reader<'a> {
 
     /// Reads a length-prefixed byte blob.
     pub fn blob(&mut self, what: &'static str) -> Result<Vec<u8>> {
+        Ok(self.blob_ref(what)?.to_vec())
+    }
+
+    /// Reads a length-prefixed byte blob without copying it.
+    pub fn blob_ref(&mut self, what: &'static str) -> Result<&'a [u8]> {
         let len = self.len_prefix(1, what)?;
-        Ok(self.take(len, what)?.to_vec())
+        self.take(len, what)
     }
 
     /// Reads a length-prefixed `f32` slice (bit patterns).
     pub fn f32_vec(&mut self, what: &'static str) -> Result<Vec<f32>> {
         let len = self.len_prefix(4, what)?;
-        (0..len).map(|_| self.f32(what)).collect()
+        Ok(decode_f32s(self.take(4 * len, what)?))
     }
 }
 

@@ -10,6 +10,7 @@
 use std::fs;
 use std::path::Path;
 
+use fuse_tensor::codec::{decode_f32s, encode_f32s, Format};
 use serde::{Deserialize, Serialize};
 
 use crate::error::NnError;
@@ -19,9 +20,21 @@ use crate::Result;
 /// The four magic bytes opening every binary checkpoint.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"FCKP";
 
-/// The binary checkpoint format version this build writes and the only one
-/// it reads. Bump on any layout change; readers reject other versions.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// The binary checkpoint format version this build writes. Readers accept
+/// v1 (no payload-length word, FNV-1a-64 trailer) and v2 (the shared
+/// container: length word and CRC-32C trailer); both carry the same
+/// payload. Bump on any layout change; readers reject other versions.
+pub const CHECKPOINT_VERSION: u32 = 2;
+
+/// The `FCKP` container: v2 added the length word and moved to CRC-32C.
+const FCKP: Format = Format {
+    magic: CHECKPOINT_MAGIC,
+    min_version: 1,
+    max_version: CHECKPOINT_VERSION,
+    len_since: 2,
+    crc_since: 2,
+    max_payload: u64::MAX,
+};
 
 /// On-disk representation of a model checkpoint.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -68,37 +81,34 @@ impl Checkpoint {
             .map_err(|e| NnError::Serialization(format!("decode checkpoint: {e}")))
     }
 
-    /// Encodes the checkpoint into the compact binary container:
+    /// Encodes the checkpoint into the compact binary container (the
+    /// shared [`fuse_tensor::codec`] container, normative in
+    /// `REPRODUCIBILITY.md`):
     ///
     /// ```text
-    /// magic "FCKP" | version u32 | payload | FNV-1a-64 checksum u64
+    /// magic "FCKP" | version u32 | payload length u64 | payload | CRC-32C u32
     /// ```
     ///
-    /// All integers little-endian; `f32` values stored as the little-endian
-    /// bytes of their IEEE-754 bit patterns, so the round trip is bit-exact.
+    /// The payload is the model name, `param_len` as a `u64`, the layer
+    /// names and the parameters behind a `u64` count. Strings are a `u32`
+    /// length and UTF-8; `f32` values are the little-endian bytes of their
+    /// IEEE-754 bit patterns, so the round trip is bit-exact.
     pub fn to_binary(&self) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(self.params.len() * 4 + 256);
-        put_str(&mut payload, &self.model_name);
-        payload.extend_from_slice(&(self.param_len as u64).to_le_bytes());
-        payload.extend_from_slice(&(self.layer_names.len() as u32).to_le_bytes());
-        for name in &self.layer_names {
-            put_str(&mut payload, name);
-        }
-        payload.extend_from_slice(&(self.params.len() as u64).to_le_bytes());
-        for &p in &self.params {
-            payload.extend_from_slice(&p.to_bits().to_le_bytes());
-        }
-
-        let mut out = Vec::with_capacity(payload.len() + 16);
-        out.extend_from_slice(&CHECKPOINT_MAGIC);
-        out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-        let checksum = fnv1a64(&payload);
-        out.extend_from_slice(&payload);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
+        let capacity = self.params.len() * 4 + 256;
+        FCKP.seal_with(CHECKPOINT_VERSION, capacity, |payload| {
+            put_str(payload, &self.model_name);
+            payload.extend_from_slice(&(self.param_len as u64).to_le_bytes());
+            payload.extend_from_slice(&(self.layer_names.len() as u32).to_le_bytes());
+            for name in &self.layer_names {
+                put_str(payload, name);
+            }
+            payload.extend_from_slice(&(self.params.len() as u64).to_le_bytes());
+            encode_f32s(payload, &self.params);
+        })
     }
 
-    /// Decodes a checkpoint from the binary container.
+    /// Decodes a checkpoint from the binary container, at any version this
+    /// build reads.
     ///
     /// # Errors
     ///
@@ -106,32 +116,9 @@ impl Checkpoint {
     /// unsupported version, truncation, or a checksum mismatch. Never
     /// panics.
     pub fn from_binary(bytes: &[u8]) -> Result<Checkpoint> {
-        if bytes.len() < 8 + 8 {
-            return Err(NnError::Serialization(format!(
-                "binary checkpoint truncated: {} bytes is shorter than any valid container",
-                bytes.len()
-            )));
-        }
-        let magic: [u8; 4] = bytes[0..4].try_into().expect("4 bytes");
-        if magic != CHECKPOINT_MAGIC {
-            return Err(NnError::Serialization(format!(
-                "not a binary checkpoint: magic bytes {magic:?} != b\"FCKP\""
-            )));
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-        if version != CHECKPOINT_VERSION {
-            return Err(NnError::Serialization(format!(
-                "binary checkpoint format v{version} unsupported (this build reads v{CHECKPOINT_VERSION})"
-            )));
-        }
-        let payload = &bytes[8..bytes.len() - 8];
-        let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8 bytes"));
-        let computed = fnv1a64(payload);
-        if stored != computed {
-            return Err(NnError::Serialization(format!(
-                "binary checkpoint checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
-            )));
-        }
+        let (_, payload) = FCKP
+            .open(bytes)
+            .map_err(|e| NnError::Serialization(format!("binary checkpoint: {e}")))?;
 
         let mut pos = 0usize;
         let model_name = take_str(payload, &mut pos)?;
@@ -143,22 +130,12 @@ impl Checkpoint {
         }
         let value_count = take_u64(payload, &mut pos)? as usize;
         let available = payload.len() - pos;
-        if value_count.checked_mul(4).map(|need| need > available).unwrap_or(true) {
+        if value_count.checked_mul(4) != Some(available) {
             return Err(NnError::Serialization(format!(
-                "binary checkpoint truncated: {value_count} parameters recorded, {available} bytes remain"
+                "binary checkpoint records {value_count} parameters in {available} remaining bytes"
             )));
         }
-        let mut params = Vec::with_capacity(value_count);
-        for _ in 0..value_count {
-            let raw = take_u32(payload, &mut pos)?;
-            params.push(f32::from_bits(raw));
-        }
-        if pos != payload.len() {
-            return Err(NnError::Serialization(format!(
-                "binary checkpoint has {} trailing payload bytes",
-                payload.len() - pos
-            )));
-        }
+        let params = decode_f32s(&payload[pos..]);
         Ok(Checkpoint { model_name, param_len, layer_names, params })
     }
 
@@ -264,15 +241,6 @@ impl Checkpoint {
         model.set_flat_params(&self.params)?;
         Ok(())
     }
-}
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 fn put_str(buf: &mut Vec<u8>, s: &str) {
@@ -406,6 +374,42 @@ mod tests {
         let mid = 8 + (bytes.len() - 16) / 2;
         flipped[mid] ^= 0x10;
         assert!(matches!(Checkpoint::from_binary(&flipped), Err(NnError::Serialization(_))));
+    }
+
+    #[test]
+    fn every_flipped_byte_of_a_v2_checkpoint_is_a_typed_error() {
+        let bytes = Checkpoint::capture(&model(8), "flip").to_binary();
+        assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), CHECKPOINT_VERSION);
+        for i in 0..bytes.len() {
+            for bit in [0x01u8, 0x80] {
+                let mut bad = bytes.clone();
+                bad[i] ^= bit;
+                assert!(
+                    matches!(Checkpoint::from_binary(&bad), Err(NnError::Serialization(_))),
+                    "flipping byte {i} went unnoticed"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn v1_checkpoints_without_the_length_word_still_decode() {
+        let ckpt = Checkpoint::capture(&model(9), "legacy");
+        let v2 = ckpt.to_binary();
+        let (_, payload) = FCKP.open(&v2).unwrap();
+        // v1: magic, version, payload, FNV-1a-64 — no length word.
+        let v1 = FCKP.seal(1, payload);
+        assert_eq!(v1.len(), 8 + payload.len() + 8);
+        assert_eq!(&v1[8..8 + payload.len()], payload);
+        let back = Checkpoint::from_binary(&v1).unwrap();
+        assert!(back.params.iter().zip(&ckpt.params).all(|(a, b)| a.to_bits() == b.to_bits()));
+        assert_eq!(back.layer_names, ckpt.layer_names);
+        let mut flipped = v1;
+        flipped[12] ^= 1;
+        assert!(matches!(Checkpoint::from_binary(&flipped), Err(NnError::Serialization(_))));
+        let mut v3 = v2;
+        v3[4] = 3;
+        assert!(matches!(Checkpoint::from_binary(&v3), Err(NnError::Serialization(_))));
     }
 
     #[test]

@@ -561,6 +561,30 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "activations must be [m x k]")]
+    fn gemm_i8_rejects_short_activations() {
+        // The AVX2 kernel reads activations through raw pointers; the public
+        // entry point must refuse a short operand in release builds too.
+        let mut dev = HostDevice::new();
+        let (m, k, n) = (2usize, 16usize, 4usize);
+        let wbuf = dev.upload_i8(&vec![1i8; n * k]);
+        let sbuf = dev.upload_f32(&vec![1.0; n]);
+        let mut out = vec![0.0f32; m * n];
+        dev.gemm_i8(&vec![1.0; m * k - 1], wbuf, sbuf, &[0.0; 4], &mut out, m, k, n, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "weights must match the conv spec")]
+    fn conv2d_i8_rejects_short_weights() {
+        let mut dev = HostDevice::new();
+        let spec = Conv2dSpec::same(2, 3, 3);
+        let wbuf = dev.upload_i8(&vec![1i8; spec.weight_len() - 1]);
+        let sbuf = dev.upload_f32(&[1.0; 3]);
+        let mut out = vec![0.0f32; 3 * 4 * 4];
+        dev.conv2d_i8(&[1.0; 2 * 4 * 4], wbuf, sbuf, &[0.0; 3], &mut out, 1, &spec, 4, 4, false);
+    }
+
+    #[test]
     #[should_panic(expected = "expected i8")]
     fn kind_confusion_is_rejected() {
         let mut dev = HostDevice::new();

@@ -19,6 +19,7 @@
 //! # Ok::<(), fuse_tensor::TensorError>(())
 //! ```
 
+pub mod codec;
 pub mod conv;
 pub mod error;
 pub mod linalg;

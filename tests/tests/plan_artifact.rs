@@ -8,13 +8,18 @@
 //! wrong-version or tampered artifacts must surface as *typed*
 //! [`fuse_graph::GraphError`] values, never panics. And the byte format
 //! itself is pinned by a committed golden fixture: an artifact written by an
-//! earlier build of the same format version keeps loading.
+//! earlier build of the same format version keeps loading. The frozen
+//! fixtures of older versions — `.fplan` v1 and v2, and the v1 `FCKP`
+//! checkpoint — keep decoding bit-exactly under the current readers.
 
 use fuse_backend::{with_backend, BackendChoice};
 use fuse_core::{build_pooled_mars_cnn, ModelConfig};
 use fuse_edge::EdgeSession;
-use fuse_graph::{ExecPlan, Graph, GraphError, TensorMeta, FPLAN_MIN_VERSION, FPLAN_VERSION};
-use fuse_nn::{LoweringRequest, Sequential};
+use fuse_graph::{
+    ExecPlan, Graph, GraphError, TensorMeta, FPLAN_FORMAT, FPLAN_MIN_VERSION, FPLAN_VERSION,
+};
+use fuse_nn::layers::{Conv2d, Flatten, Linear, Relu};
+use fuse_nn::{Checkpoint, LoweringRequest, Sequential};
 use fuse_parallel::{with_min_parallel_work, with_threads};
 use fuse_serve::{ServeConfig, ServeEngine};
 use fuse_tensor::{Conv2dSpec, Tensor};
@@ -142,27 +147,16 @@ fn corrupted_artifacts_yield_typed_errors() {
 }
 
 /// Rebuilds a complete artifact around `payload`, re-stamping the length
-/// field and FNV-1a-64 checksum so payload-level corruptions reach the
-/// decoder instead of tripping the checksum gate first.
+/// field and the checksum of `version` so payload-level corruptions reach
+/// the decoder instead of tripping the checksum gate first.
 fn reassemble(payload: &[u8], version: u32) -> Vec<u8> {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in payload {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    let mut out = Vec::with_capacity(payload.len() + 24);
-    out.extend_from_slice(b"FPLN");
-    out.extend_from_slice(&version.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&hash.to_le_bytes());
-    out
+    FPLAN_FORMAT.seal(version, payload)
 }
 
 #[test]
 fn corrupted_quantized_artifacts_yield_typed_errors() {
     let bytes = pooled_plan(2).quantize().unwrap().to_bytes();
-    let payload = &bytes[16..bytes.len() - 8];
+    let (_, payload) = FPLAN_FORMAT.open(&bytes).unwrap();
 
     // Cutting into the trailing int8 weight/scale tables and re-stamping the
     // checksum must surface as typed truncation from the decoder itself.
@@ -254,24 +248,78 @@ fn committed_fplan_fixture_stays_loadable_and_byte_stable() {
 
 #[test]
 fn committed_v1_fixture_still_loads_under_the_v2_reader() {
-    // Backward compatibility is normative: artifacts written by v1 builds
-    // (before the quantized-weight sections) must keep decoding and serving
-    // bit-identically under every newer reader. `tiny_v1.fplan` is the
-    // byte-frozen v1 predecessor of `tiny.fplan` — never regenerate it.
-    let path = goldens_dir().join("tiny_v1.fplan");
+    // Backward compatibility is normative: artifacts written by older builds
+    // must keep decoding and serving bit-identically under every newer
+    // reader. `tiny_v1.fplan` (before the quantized-weight sections) and
+    // `tiny_v2.fplan` (before the CRC-32C trailer) are the byte-frozen
+    // predecessors of `tiny.fplan` — never regenerate them.
+    for (name, version) in [("tiny_v1.fplan", 1u32), ("tiny_v2.fplan", 2)] {
+        let path = goldens_dir().join(name);
+        let committed = std::fs::read(&path)
+            .unwrap_or_else(|e| panic!("missing frozen fixture {} ({e})", path.display()));
+        let found = u32::from_le_bytes(committed[4..8].try_into().unwrap());
+        assert_eq!(found, version, "{name} must be v{version}");
+
+        let mut session = EdgeSession::from_bytes(&committed).unwrap();
+        assert!(!session.is_quantized(), "the fixture is a float plan");
+        let mut fresh = fixture_plan();
+        for batch in 1..=2usize {
+            let input = Tensor::randn(&[batch, 2, 4, 4], 1.0, 510 + batch as u64);
+            assert_eq!(
+                session.infer(input.as_slice(), batch).unwrap(),
+                fresh.run(input.as_slice(), batch).unwrap(),
+                "{name} diverged from a fresh compile at batch {batch}"
+            );
+        }
+        // Same payload, newer container: the v2 fixture re-sealed at the
+        // current version is exactly the current fixture's bytes.
+        if version == 2 {
+            let (_, payload) = FPLAN_FORMAT.open(&committed).unwrap();
+            assert_eq!(reassemble(payload, FPLAN_VERSION), fixture_plan().to_bytes());
+        }
+    }
+}
+
+/// The fixed-seed model behind the frozen `tiny_v1.fckp` checkpoint.
+fn checkpoint_fixture_model() -> Sequential {
+    Sequential::new(vec![
+        Box::new(Conv2d::new(Conv2dSpec::same(2, 3, 3), 601).unwrap()),
+        Box::new(Relu::new()),
+        Box::new(Flatten::new()),
+        Box::new(Linear::new(3 * 4 * 4, 5, 602).unwrap()),
+    ])
+}
+
+#[test]
+fn committed_v1_checkpoint_still_decodes_and_applies_bit_exactly() {
+    // `tiny_v1.fckp` is the byte-frozen output of the v1 `FCKP` writer (no
+    // length word, FNV-1a-64 trailer) for the model above — never
+    // regenerate it.
+    let path = goldens_dir().join("tiny_v1.fckp");
     let committed = std::fs::read(&path)
-        .unwrap_or_else(|e| panic!("missing frozen v1 fixture {} ({e})", path.display()));
+        .unwrap_or_else(|e| panic!("missing frozen fixture {} ({e})", path.display()));
+    assert_eq!(&committed[..4], b"FCKP");
     assert_eq!(u32::from_le_bytes(committed[4..8].try_into().unwrap()), 1, "fixture must be v1");
 
-    let mut session = EdgeSession::from_bytes(&committed).unwrap();
-    assert!(!session.is_quantized(), "v1 artifacts predate quantized sections");
-    let mut fresh = fixture_plan();
-    for batch in 1..=2usize {
-        let input = Tensor::randn(&[batch, 2, 4, 4], 1.0, 510 + batch as u64);
-        assert_eq!(
-            session.infer(input.as_slice(), batch).unwrap(),
-            fresh.run(input.as_slice(), batch).unwrap(),
-            "v1 artifact diverged from a fresh compile at batch {batch}"
-        );
-    }
+    let reference = checkpoint_fixture_model();
+    let ckpt = Checkpoint::from_bytes(&committed).unwrap();
+    assert_eq!(ckpt.model_name, "tiny");
+    let mut restored = Sequential::new(vec![
+        Box::new(Conv2d::new(Conv2dSpec::same(2, 3, 3), 1).unwrap()),
+        Box::new(Relu::new()),
+        Box::new(Flatten::new()),
+        Box::new(Linear::new(3 * 4 * 4, 5, 2).unwrap()),
+    ]);
+    ckpt.apply_to(&mut restored).unwrap();
+    let bits = |m: &Sequential| m.flat_params().iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&restored), bits(&reference), "parameters must survive bit-exactly");
+
+    let input = Tensor::randn(&[2, 2, 4, 4], 1.0, 603);
+    let mut reference = reference;
+    assert_eq!(restored.forward(&input, false).unwrap(), reference.forward(&input, false).unwrap());
+    // The current writer re-encodes the same checkpoint as v2, which
+    // decodes to the same values.
+    let v2 = Checkpoint::capture(&restored, "tiny").to_binary();
+    assert_eq!(u32::from_le_bytes(v2[4..8].try_into().unwrap()), 2);
+    assert_eq!(Checkpoint::from_binary(&v2).unwrap().params, ckpt.params);
 }

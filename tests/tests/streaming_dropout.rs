@@ -287,9 +287,8 @@ fn migration_mid_dropout_is_bit_identical_over_a_flaky_link() {
         "scalar leg: migrating mid-dropout must not change a single output byte"
     );
 
-    let (simd_migrated, simd_reference) = with_threads(4, || {
-        with_min_parallel_work(0, || with_backend(BackendChoice::Simd, run))
-    });
+    let (simd_migrated, simd_reference) =
+        with_threads(4, || with_min_parallel_work(0, || with_backend(BackendChoice::Simd, run)));
     assert_eq!(
         simd_migrated, simd_reference,
         "simd leg: migrating mid-dropout must not change a single output byte"

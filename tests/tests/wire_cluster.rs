@@ -328,3 +328,35 @@ fn fan_out_hot_swap_commits_and_aborts_atomically_across_the_wire() {
     host.join().expect("host thread joins");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Failure semantics: one request body that passes its frame checksum but
+/// does not decode must get a typed error reply, and the host shard must
+/// keep serving the requests after it.
+#[test]
+fn a_malformed_request_gets_a_typed_error_and_the_shard_keeps_serving() {
+    use fuse_net::{RpcClient, WireError, WireRequest, WireResponse};
+
+    let (client_end, host_end) = sim_pair(FaultConfig::default(), FaultConfig::default());
+    let host = spawn_host(ClusterConfig::default(), host_end);
+    let mut client = RpcClient::new(client_end);
+    let mut call = |body: &[u8]| WireResponse::decode(&client.call(body).unwrap()).unwrap();
+
+    for garbage in [&[0xffu8, 1, 2, 3][..], &[], &WireRequest::Close { id: 7 }.encode()[..3]] {
+        match call(garbage) {
+            WireResponse::Error(WireError::BadRequest(msg)) => assert!(!msg.is_empty()),
+            other => panic!("garbage {garbage:?} got {other:?}"),
+        }
+    }
+    let opened = call(&WireRequest::Open { config: SessionConfig::new(3) }.encode());
+    assert!(matches!(opened, WireResponse::Opened), "open got {opened:?}");
+    let frame = golden_frames().remove(0);
+    let submitted = call(&WireRequest::Submit { id: 3, frame }.encode());
+    assert!(matches!(submitted, WireResponse::Submitted), "submit got {submitted:?}");
+    match call(&WireRequest::Flush.encode()) {
+        WireResponse::Flushed(report) => assert_eq!(report.responses.len(), 1),
+        other => panic!("flush got {other:?}"),
+    }
+    let bye = call(&WireRequest::Shutdown.encode());
+    assert!(matches!(bye, WireResponse::ShuttingDown), "shutdown got {bye:?}");
+    host.join().expect("host thread joins");
+}
