@@ -166,6 +166,28 @@ mod tests {
         router.shutdown();
     }
 
+    /// A model whose first layer disagrees with the feature geometry: it
+    /// does not lower to a compiled plan.
+    fn non_lowerable_model() -> fuse_nn::Sequential {
+        use fuse_nn::layers::Linear;
+        fuse_nn::Sequential::new(vec![Box::new(Linear::new(10, 4, 1).unwrap())])
+    }
+
+    #[test]
+    fn router_construction_rejects_a_model_that_does_not_lower() {
+        let config = ClusterConfig { shards: 2, ..ClusterConfig::default() };
+        let Err(err) = ClusterRouter::new(non_lowerable_model(), config) else {
+            panic!("a model that does not lower must not build a router");
+        };
+        assert!(matches!(err, ClusterError::Serve(fuse_serve::ServeError::Graph(_))), "got {err}");
+    }
+
+    #[test]
+    fn host_shard_construction_rejects_a_model_that_does_not_lower() {
+        let err = HostShard::new(non_lowerable_model(), ClusterConfig::default()).unwrap_err();
+        assert!(matches!(err, ClusterError::Serve(fuse_serve::ServeError::Graph(_))), "got {err}");
+    }
+
     #[test]
     fn metrics_snapshot_covers_every_shard() {
         let mut router = tiny_router(2);

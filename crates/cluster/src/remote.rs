@@ -98,7 +98,7 @@ fn shard_gauge(g: &WireGauge, shard: usize) -> ShardGauge {
 /// local worker is joined before it returns.
 #[derive(Debug)]
 pub struct HostShard {
-    model: Sequential,
+    engine: ServeEngine,
     config: ClusterConfig,
 }
 
@@ -106,15 +106,20 @@ impl HostShard {
     /// Prepares a host shard serving `model` under the cluster's shared
     /// shard configuration (`config.serve`, the backpressure spec, the
     /// default SLO class, auto-stepping — the fields every shard must agree
-    /// on for the cluster's output to be deterministic).
+    /// on for the cluster's output to be deterministic). The engine is
+    /// built here, so a model that does not lower fails now rather than
+    /// when [`HostShard::serve`] starts.
     ///
     /// # Errors
     ///
     /// Returns [`ClusterError::InvalidConfig`] when the configuration is
-    /// invalid.
+    /// invalid and [`ClusterError::Serve`] carrying
+    /// [`ServeError::Graph`] when the model does not lower to a compiled
+    /// plan.
     pub fn new(model: Sequential, config: ClusterConfig) -> Result<Self> {
         config.validate()?;
-        Ok(HostShard { model, config })
+        let engine = ServeEngine::new(model, config.serve.clone())?;
+        Ok(HostShard { engine, config })
     }
 
     /// Serves wire requests over `transport` until shutdown or disconnect.
@@ -126,12 +131,10 @@ impl HostShard {
     /// unrecoverable link failures (a clean peer disconnect is a normal
     /// return, not an error).
     pub fn serve(self, transport: impl Transport) -> Result<()> {
-        let engine = ServeEngine::new(self.model, self.config.serve.clone())
-            .map_err(|e| ClusterError::InvalidConfig(e.to_string()))?;
         let (tx, rx) = bounded(self.config.channel_capacity);
         let worker = ShardWorker::new(
             0,
-            engine,
+            self.engine,
             rx,
             self.config.backpressure,
             self.config.default_slo,

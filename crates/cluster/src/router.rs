@@ -167,7 +167,9 @@ impl ClusterRouter {
     ///
     /// # Errors
     ///
-    /// Returns [`ClusterError::InvalidConfig`] for an invalid configuration.
+    /// Returns [`ClusterError::InvalidConfig`] for an invalid configuration
+    /// and [`ClusterError::Serve`] carrying [`fuse_serve::ServeError::Graph`]
+    /// when the model does not lower to a compiled plan.
     pub fn new(model: Sequential, config: ClusterConfig) -> Result<Self> {
         let shards = config.shards;
         Self::with_shards(model, config, (0..shards).map(|_| ShardSpec::Local).collect())
@@ -183,7 +185,9 @@ impl ClusterRouter {
     /// # Errors
     ///
     /// Returns [`ClusterError::InvalidConfig`] for an invalid configuration
-    /// or when `specs.len() != config.shards`.
+    /// or when `specs.len() != config.shards`, and [`ClusterError::Serve`]
+    /// carrying [`fuse_serve::ServeError::Graph`] when a local shard's model
+    /// does not lower to a compiled plan.
     pub fn with_shards(
         model: Sequential,
         config: ClusterConfig,
@@ -205,8 +209,7 @@ impl ClusterRouter {
         for (shard, spec) in specs.into_iter().enumerate() {
             let (tx, handle) = match spec {
                 ShardSpec::Local => {
-                    let engine = ServeEngine::new(model.clone(), config.serve.clone())
-                        .map_err(|e| ClusterError::InvalidConfig(e.to_string()))?;
+                    let engine = ServeEngine::new(model.clone(), config.serve.clone())?;
                     let (tx, rx) = bounded(config.channel_capacity);
                     let worker = ShardWorker::new(
                         shard,

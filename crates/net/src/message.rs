@@ -301,7 +301,6 @@ fn decode_tensor(r: &mut Reader<'_>) -> Result<Tensor> {
 fn encode_recorder(w: &mut Writer, rec: &LatencyRecorder) {
     w.f64(rec.budget_ms());
     w.u64(rec.sample_window() as u64);
-    w.u64(rec.legacy_fallback_frames());
     for stage in Stage::ALL {
         let samples: Vec<f64> = rec.stage_samples(stage).collect();
         w.u64(samples.len() as u64);
@@ -314,9 +313,7 @@ fn encode_recorder(w: &mut Writer, rec: &LatencyRecorder) {
 fn decode_recorder(r: &mut Reader<'_>) -> Result<LatencyRecorder> {
     let budget = r.f64("latency budget")?;
     let window = r.usize("sample window")?;
-    let fallback = r.u64("fallback frames")?;
     let mut rec = LatencyRecorder::new(budget).with_sample_window(window);
-    rec.record_legacy_fallback(fallback);
     for stage in Stage::ALL {
         let n = r.len_prefix(8, "latency samples")?;
         for _ in 0..n {
@@ -1166,7 +1163,6 @@ mod tests {
         rec.record(Stage::Fuse, 1.25);
         rec.record(Stage::Inference, 3.5);
         rec.record(Stage::Total, 5.75);
-        rec.record_legacy_fallback(2);
         let gauge = WireGauge {
             shard: 1,
             sessions: 2,
@@ -1191,7 +1187,6 @@ mod tests {
         assert_eq!(g2, gauge);
         assert_eq!(recorder.budget_ms(), 22.0);
         assert_eq!(recorder.sample_window(), 16);
-        assert_eq!(recorder.legacy_fallback_frames(), 2);
         for stage in Stage::ALL {
             let got: Vec<f64> = recorder.stage_samples(stage).collect();
             let want: Vec<f64> = rec.stage_samples(stage).collect();

@@ -52,7 +52,7 @@ pub mod serialize;
 pub use error::NnError;
 pub use layer::{Layer, LayerLowering};
 pub use loss::{HuberLoss, L1Loss, Loss, MseLoss};
-pub use lowering::{Compiled, FallbackPolicy, LoweringRequest};
+pub use lowering::LoweringRequest;
 pub use metrics::{mae, mae_per_axis, AxisMae};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use pooling::MaxPool2d;

@@ -3,53 +3,22 @@
 //! The bridge between the mutable, trainable layer world and the immutable,
 //! compiled serving world: a [`LoweringRequest`] walks a model's layers, asks
 //! each for its declarative [`LayerLowering`] description and builds a typed
-//! [`Graph`] with the parameters snapshotted, or compiles it straight to an
-//! [`fuse_graph::ExecPlan`].
+//! [`Graph`] with the parameters snapshotted, which [`Graph::compile`] turns
+//! into an [`fuse_graph::ExecPlan`].
 //!
 //! Lowering is total only for layers that implement
 //! [`crate::Layer::lowering`]; anything else makes the whole model
-//! non-lowerable. What happens then is the request's [`FallbackPolicy`]:
-//! [`FallbackPolicy::Deny`] surfaces the error, [`FallbackPolicy::LegacyWalk`]
-//! reports a [`Compiled::Fallback`] carrying the reason so the serving engine
-//! can walk the layer list instead — visibly, not silently. Either way the
-//! contract stays simple: a compiled plan covers the entire model
-//! bit-identically or does not exist.
+//! non-lowerable and [`LoweringRequest::lower`] reports why: a compiled plan
+//! covers the entire model bit-identically or does not exist.
 
-use fuse_graph::{ExecPlan, Graph, GraphError, TensorMeta};
+use fuse_graph::{Graph, GraphError, TensorMeta};
 
 use crate::layer::LayerLowering;
 use crate::sequential::Sequential;
 
-/// What a [`LoweringRequest`] does when the model cannot be compiled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FallbackPolicy {
-    /// Surface the lowering/compilation error to the caller (the default).
-    #[default]
-    Deny,
-    /// Swallow the error into a [`Compiled::Fallback`] so the caller can
-    /// serve through the legacy [`Sequential::forward`] walk while still
-    /// seeing *why* the plan does not exist.
-    LegacyWalk,
-}
-
-/// Outcome of [`LoweringRequest::compile`].
-// A `Compiled` is destructured immediately at the compile call site, never
-// stored or collected, so the size gap between the plan and the error
-// variant costs nothing — boxing the plan would only add churn for callers.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub enum Compiled {
-    /// The model compiled; serve through the plan.
-    Plan(ExecPlan),
-    /// The model did not compile and the policy was
-    /// [`FallbackPolicy::LegacyWalk`]; serve through the layer walk. The
-    /// carried error says why — log it, count it, don't hide it.
-    Fallback(GraphError),
-}
-
-/// A builder describing how to lower (and optionally compile) a model for
-/// inference, replacing the old positional `lower_for_inference(model,
-/// input_dims)` call so new options don't grow more positional arguments.
+/// A request to lower a model for inference on per-sample inputs of a given
+/// shape. Every caller compiles the same way:
+/// `LoweringRequest::new(&model, &dims).lower()?.compile(max_batch)`.
 ///
 /// ```
 /// use fuse_nn::layers::{Linear, Relu};
@@ -61,40 +30,21 @@ pub enum Compiled {
 /// ]);
 /// let graph = LoweringRequest::new(&model, &[4]).lower()?;
 /// assert_eq!(graph.signature().param_len(), model.param_len());
+/// let plan = graph.compile(8)?;
+/// assert_eq!(plan.max_batch(), 8);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug)]
 pub struct LoweringRequest<'m> {
     model: &'m Sequential,
     input_dims: Vec<usize>,
-    max_batch: usize,
-    fallback: FallbackPolicy,
 }
 
 impl<'m> LoweringRequest<'m> {
     /// Starts a request lowering `model` for per-sample inputs shaped
-    /// `input_dims`, with `max_batch = 1` and [`FallbackPolicy::Deny`].
+    /// `input_dims`.
     pub fn new(model: &'m Sequential, input_dims: &[usize]) -> Self {
-        LoweringRequest {
-            model,
-            input_dims: input_dims.to_vec(),
-            max_batch: 1,
-            fallback: FallbackPolicy::Deny,
-        }
-    }
-
-    /// Sets the largest batch the compiled plan must serve.
-    #[must_use]
-    pub fn max_batch(mut self, max_batch: usize) -> Self {
-        self.max_batch = max_batch;
-        self
-    }
-
-    /// Sets what [`Self::compile`] does when the model cannot be compiled.
-    #[must_use]
-    pub fn fallback(mut self, policy: FallbackPolicy) -> Self {
-        self.fallback = policy;
-        self
+        LoweringRequest { model, input_dims: input_dims.to_vec() }
     }
 
     /// Builds the inference op graph, snapshotting the current parameters.
@@ -108,9 +58,8 @@ impl<'m> LoweringRequest<'m> {
     ///
     /// Returns [`GraphError::Unsupported`] when a layer has no op-graph
     /// lowering and [`GraphError::Shape`] when layer shapes do not chain
-    /// (the same mismatches the legacy forward pass would reject at run
-    /// time). The fallback policy does not apply here — `lower` always
-    /// reports errors.
+    /// (the same mismatches the layer-walk forward pass would reject at run
+    /// time).
     pub fn lower(&self) -> fuse_graph::Result<Graph> {
         let mut graph = Graph::new(TensorMeta::f32(&self.input_dims));
         graph.reserve_params(self.model.param_len());
@@ -150,23 +99,6 @@ impl<'m> LoweringRequest<'m> {
         }
         Ok(graph)
     }
-
-    /// Lowers and compiles in one go, honouring the fallback policy.
-    ///
-    /// # Errors
-    ///
-    /// Under [`FallbackPolicy::Deny`], any lowering or compilation error.
-    /// Under [`FallbackPolicy::LegacyWalk`] this never fails — failures come
-    /// back as [`Compiled::Fallback`] with the reason inside.
-    pub fn compile(&self) -> fuse_graph::Result<Compiled> {
-        match self.lower().and_then(|graph| graph.compile(self.max_batch)) {
-            Ok(plan) => Ok(Compiled::Plan(plan)),
-            Err(e) => match self.fallback {
-                FallbackPolicy::Deny => Err(e),
-                FallbackPolicy::LegacyWalk => Ok(Compiled::Fallback(e)),
-            },
-        }
-    }
 }
 
 #[cfg(test)]
@@ -204,11 +136,8 @@ mod tests {
     #[test]
     fn compiled_plan_matches_the_legacy_forward_bit_for_bit() {
         let mut model = tiny_cnn();
-        let Compiled::Plan(mut plan) =
-            LoweringRequest::new(&model, &[2, 4, 4]).max_batch(4).compile().unwrap()
-        else {
-            panic!("tiny_cnn must compile");
-        };
+        let mut plan =
+            LoweringRequest::new(&model, &[2, 4, 4]).lower().unwrap().compile(4).unwrap();
         let input = Tensor::randn(&[3, 2, 4, 4], 1.0, 9);
         let expected = model.forward(&input, false).unwrap();
         let out = plan.run(input.as_slice(), 3).unwrap();
@@ -224,11 +153,8 @@ mod tests {
             Box::new(Flatten::new()),
             Box::new(Linear::new(3 * 2 * 2, 5, 18).unwrap()),
         ]);
-        let Compiled::Plan(mut plan) =
-            LoweringRequest::new(&model, &[2, 4, 4]).max_batch(3).compile().unwrap()
-        else {
-            panic!("pooled model must compile, not fall back");
-        };
+        let mut plan =
+            LoweringRequest::new(&model, &[2, 4, 4]).lower().unwrap().compile(3).unwrap();
         let input = Tensor::randn(&[3, 2, 4, 4], 1.0, 19);
         let expected = model.forward(&input, false).unwrap();
         assert_eq!(plan.run(input.as_slice(), 3).unwrap(), expected.as_slice());
@@ -282,17 +208,9 @@ mod tests {
             Box::new(Conv2d::new(Conv2dSpec::same(2, 2, 3), 7).unwrap()) as Box<dyn Layer>,
             Box::new(Opaque),
         ]);
-        let req = LoweringRequest::new(&model, &[2, 4, 4]);
-        let err = req.lower().unwrap_err();
-        assert!(matches!(err, GraphError::Unsupported(_)), "{err}");
-        // Deny (the default) propagates; LegacyWalk converts to a visible
-        // fallback carrying the same reason.
-        assert!(req.compile().is_err());
-        match req.fallback(FallbackPolicy::LegacyWalk).compile().unwrap() {
-            Compiled::Fallback(GraphError::Unsupported(msg)) => {
-                assert!(msg.contains("opaque"), "{msg}");
-            }
-            other => panic!("expected a fallback, got {other:?}"),
+        match LoweringRequest::new(&model, &[2, 4, 4]).lower().unwrap_err() {
+            GraphError::Unsupported(msg) => assert!(msg.contains("opaque"), "{msg}"),
+            other => panic!("expected an unsupported-layer error, got {other}"),
         }
     }
 }

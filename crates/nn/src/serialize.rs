@@ -204,6 +204,42 @@ impl Checkpoint {
         }
     }
 
+    /// Checks that the checkpoint fits a model with `param_len` parameters
+    /// and these `layer_names` (in execution order), without touching any
+    /// model. This is the one layout check behind [`Checkpoint::apply_to`]
+    /// and every serving-side swap or migration validation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::ParamLengthMismatch`] when the parameter vector
+    /// or, failing that, the `param_len` field disagrees with `param_len`,
+    /// and [`NnError::ArchitectureMismatch`] when the recorded
+    /// `layer_names` differ.
+    pub fn check_layout<S: AsRef<str>>(&self, param_len: usize, layer_names: &[S]) -> Result<()> {
+        if self.params.len() != param_len {
+            return Err(NnError::ParamLengthMismatch {
+                expected: param_len,
+                actual: self.params.len(),
+            });
+        }
+        // A param_len field disagreeing with the vector it describes is its
+        // own mismatch; report the lying field, not the (fitting) vector
+        // length.
+        if self.param_len != param_len {
+            return Err(NnError::ParamLengthMismatch {
+                expected: param_len,
+                actual: self.param_len,
+            });
+        }
+        if !self.layer_names.iter().map(String::as_str).eq(layer_names.iter().map(AsRef::as_ref)) {
+            return Err(NnError::ArchitectureMismatch {
+                expected: layer_names.iter().map(|name| name.as_ref().to_string()).collect(),
+                actual: self.layer_names.clone(),
+            });
+        }
+        Ok(())
+    }
+
     /// Applies the checkpoint to a model with a matching architecture.
     ///
     /// The model is only modified when every validation passes: a failed
@@ -211,35 +247,11 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::ParamLengthMismatch`] when the checkpoint's
-    /// parameter vector or its `param_len` field does not fit the model, and
-    /// [`NnError::ArchitectureMismatch`] when the recorded `layer_names`
-    /// differ from the model's layers.
+    /// Returns the [`Checkpoint::check_layout`] errors for the model's
+    /// parameter count and layer names.
     pub fn apply_to(&self, model: &mut Sequential) -> Result<()> {
-        if self.params.len() != model.param_len() {
-            return Err(NnError::ParamLengthMismatch {
-                expected: model.param_len(),
-                actual: self.params.len(),
-            });
-        }
-        // A param_len field disagreeing with the vector it describes is its
-        // own mismatch; report the lying field, not the (fitting) vector
-        // length.
-        if self.param_len != model.param_len() {
-            return Err(NnError::ParamLengthMismatch {
-                expected: model.param_len(),
-                actual: self.param_len,
-            });
-        }
-        let model_layers: Vec<String> = model.layer_names().iter().map(|s| s.to_string()).collect();
-        if self.layer_names != model_layers {
-            return Err(NnError::ArchitectureMismatch {
-                expected: model_layers,
-                actual: self.layer_names.clone(),
-            });
-        }
-        model.set_flat_params(&self.params)?;
-        Ok(())
+        self.check_layout(model.param_len(), &model.layer_names())?;
+        model.set_flat_params(&self.params)
     }
 }
 

@@ -21,18 +21,15 @@
 //!   hot-swap or adaptation) the served model is lowered to a `fuse-graph`
 //!   op graph and compiled into an [`ExecPlan`]: fused conv+bias+ReLU
 //!   dispatches, pre-planned arena buffers, zero steady-state allocations.
-//!   Plans are bit-identical to the layer walk by contract. Any model the
-//!   compiler cannot lower falls back to the legacy [`Sequential::forward`]
-//!   path — *visibly*: the lowering error is logged once per model version,
-//!   kept behind [`ServeEngine::fallback_reason`], and every frame served
-//!   through the walk is counted by
-//!   [`crate::LatencyRecorder::legacy_fallback_frames`].
+//!   Plans are the only executor: every frame, base or adapted, is served
+//!   by one, bit-identical to [`Sequential::forward`] by contract. A model
+//!   that does not lower is a typed [`ServeError::Graph`] at construction.
 //! * **Checkpoint & plan-artifact hot-swap** — [`ServeEngine::hot_swap`]
 //!   loads a `fuse-nn` checkpoint (JSON or binary) into the shared base
 //!   model without touching adapted sessions; the checkpoint is validated
-//!   against the compiled plan's shape signature (or, without a plan, on a
-//!   clone) first, so a corrupt checkpoint leaves the engine serving the old
-//!   weights. [`ServeEngine::export_plan`] /
+//!   against the compiled plan's shape signature first, so a corrupt
+//!   checkpoint leaves the engine serving the old weights.
+//!   [`ServeEngine::export_plan`] /
 //!   [`ServeEngine::hot_swap_plan`] do the same with a serialized `.fplan`
 //!   compiled-plan artifact, which carries the schedule alongside the
 //!   weights and installs without recompiling.
@@ -48,10 +45,10 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::Instant;
 
-use fuse_core::{FineTuneConfig, FineTuneResult};
+use fuse_core::{fine_tune, FineTuneConfig, FineTuneResult};
 use fuse_dataset::{EncodedDataset, FeatureMapBuilder, FrameFusion};
 use fuse_graph::{ExecPlan, GraphError};
-use fuse_nn::{Checkpoint, Compiled, FallbackPolicy, LoweringRequest, NnError, Sequential};
+use fuse_nn::{Checkpoint, LoweringRequest, Sequential};
 use fuse_radar::PointCloudFrame;
 use fuse_tensor::Tensor;
 
@@ -167,15 +164,11 @@ impl PendingFrame {
 /// shard, and only if all of them succeed, *commit* on all — so either every
 /// shard serves the new weights or none does.
 ///
-/// When the engine holds a compiled plan, validation runs against the plan's
-/// [`fuse_graph::ShapeSignature`] and no candidate model is materialised; the
-/// legacy clone-and-load path is kept only for non-lowerable models.
+/// Validation runs against the compiled plan's
+/// [`fuse_graph::ShapeSignature`]; no candidate model is materialised, and
+/// commit applies the checkpoint's flat parameters directly.
 #[derive(Debug)]
 pub struct PreparedSwap {
-    /// Pre-loaded replacement model; `None` when validation went through the
-    /// compiled plan's shape signature and commit applies the flat params
-    /// directly.
-    candidate: Option<Sequential>,
     checkpoint: Checkpoint,
     /// A deserialized `.fplan` artifact ([`ServeEngine::prepare_hot_swap_plan`]);
     /// commit installs it directly instead of recompiling the model.
@@ -238,14 +231,9 @@ pub struct SessionState {
 pub struct ServeEngine {
     config: ServeConfig,
     base: Sequential,
-    /// Compiled execution plan of the base model; `None` when the model has a
-    /// layer without an op-graph lowering (the step falls back to the legacy
-    /// layer walk).
-    base_plan: Option<ExecPlan>,
-    /// Why the base model has no compiled plan, when it has none. The reason
-    /// is logged once at compile time (compilation happens exactly once per
-    /// model version) and kept here so operators can query it.
-    fallback_reason: Option<GraphError>,
+    /// Compiled execution plan of the base model, rebuilt (or installed from
+    /// an artifact) on every hot-swap.
+    base_plan: ExecPlan,
     /// Reusable `[max_batch × C·H·W]` input staging buffer for plan runs, so
     /// stacking a micro-batch allocates nothing in steady state.
     staging: Vec<f32>,
@@ -262,18 +250,19 @@ impl ServeEngine {
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidConfig`] when the configuration is
-    /// invalid.
+    /// invalid and [`ServeError::Graph`] when the model does not lower to a
+    /// plan for the configured feature geometry (a layer without an op-graph
+    /// lowering, or shapes that do not chain).
     pub fn new(model: Sequential, config: ServeConfig) -> Result<Self> {
         config.validate()?;
         let recorder = LatencyRecorder::new(config.budget_ms);
-        let (base_plan, fallback_reason) = compile_or_log(&model, &config, "base model v0");
+        let base_plan = compile_plan(&model, &config)?;
         let input_len: usize = config.feature_map.input_dims().iter().product();
         let staging = vec![0.0; config.max_batch * input_len];
         Ok(ServeEngine {
             config,
             base: model,
             base_plan,
-            fallback_reason,
             staging,
             model_version: 0,
             sessions: BTreeMap::new(),
@@ -293,18 +282,11 @@ impl ServeEngine {
         &self.base
     }
 
-    /// The compiled execution plan of the base model, when it lowered
-    /// cleanly; recompiled on every [`ServeEngine::hot_swap`].
+    /// The compiled execution plan of the base model; recompiled on every
+    /// [`ServeEngine::hot_swap`]. Always `Some`: an engine cannot exist
+    /// without its plan.
     pub fn plan(&self) -> Option<&ExecPlan> {
-        self.base_plan.as_ref()
-    }
-
-    /// Why the base model is served through the legacy layer walk, when it
-    /// is (`None` while a compiled plan is installed). Frames served through
-    /// the fallback are counted by
-    /// [`crate::LatencyRecorder::legacy_fallback_frames`].
-    pub fn fallback_reason(&self) -> Option<&GraphError> {
-        self.fallback_reason.as_ref()
+        Some(&self.base_plan)
     }
 
     /// Version counter of the shared base model; each successful
@@ -590,54 +572,24 @@ impl ServeEngine {
             }
         }
 
-        // Split borrows: the compiled plans, the staging buffer and the
-        // models live in different fields, and the plan path needs the plan
-        // (mutably, for its arena) and the staging buffer at the same time.
+        // Split borrows: the plan needs its arena (mutably) and the staging
+        // buffer at the same time, and they live in different fields.
         let model_version = self.model_version;
-        let ServeEngine { sessions, base, base_plan, staging, recorder, .. } = &mut *self;
+        let ServeEngine { sessions, base_plan, staging, .. } = &mut *self;
 
         if !base_features.is_empty() {
-            if let Some(plan) = base_plan.as_mut() {
-                let cols = plan.output_meta().len();
-                let output = run_plan(plan, staging, &base_features)?;
-                extend_responses(&mut responses, &base_keys, output, cols, model_version, false);
-            } else {
-                recorder.record_legacy_fallback(base_keys.len() as u64);
-                let stacked = Tensor::stack(&base_features).map_err(fuse_nn::NnError::from)?;
-                let output = base.forward(&stacked, false)?;
-                let cols = output.dims()[1];
-                extend_responses(
-                    &mut responses,
-                    &base_keys,
-                    output.as_slice(),
-                    cols,
-                    model_version,
-                    false,
-                );
-            }
+            let cols = base_plan.output_meta().len();
+            let output = run_plan(base_plan, staging, &base_features)?;
+            extend_responses(&mut responses, &base_keys, output, cols, model_version, false);
         }
         for (session_id, (keys, features)) in &adapted_groups {
-            let session =
-                sessions.get_mut(session_id).ok_or(ServeError::UnknownSession(*session_id))?;
-            if let Some(plan) = session.plan_mut() {
-                let cols = plan.output_meta().len();
-                let output = run_plan(plan, staging, features)?;
-                extend_responses(&mut responses, keys, output, cols, model_version, true);
-            } else {
-                recorder.record_legacy_fallback(keys.len() as u64);
-                let model = session.model_mut().ok_or(ServeError::UnknownSession(*session_id))?;
-                let stacked = Tensor::stack(features).map_err(fuse_nn::NnError::from)?;
-                let output = model.forward(&stacked, false)?;
-                let cols = output.dims()[1];
-                extend_responses(
-                    &mut responses,
-                    keys,
-                    output.as_slice(),
-                    cols,
-                    model_version,
-                    true,
-                );
-            }
+            let plan = sessions
+                .get_mut(session_id)
+                .and_then(Session::plan_mut)
+                .ok_or(ServeError::UnknownSession(*session_id))?;
+            let cols = plan.output_meta().len();
+            let output = run_plan(plan, staging, features)?;
+            extend_responses(&mut responses, keys, output, cols, model_version, true);
         }
         self.recorder.record(Stage::Inference, ms_since(inference_start));
         for submitted in submit_times {
@@ -659,14 +611,17 @@ impl ServeEngine {
     }
 
     /// Fine-tunes a session online on `data` (used as both the adaptation and
-    /// per-epoch evaluation set). The first adaptation clones the shared base
-    /// model into the session; later calls continue from the session's
-    /// private weights.
+    /// per-epoch evaluation set). The first adaptation starts from the shared
+    /// base model; later calls continue from the session's private weights.
+    /// The fine-tuned model and its freshly compiled plan replace the
+    /// session's previous pair only when both succeed: a failed adaptation
+    /// leaves the session serving exactly what it served before.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::UnknownSession`] for an unopened id and
-    /// propagates fine-tuning errors.
+    /// propagates fine-tuning ([`ServeError::Core`]) and compile
+    /// ([`ServeError::Graph`]) errors.
     pub fn adapt_session(
         &mut self,
         id: u64,
@@ -674,14 +629,32 @@ impl ServeEngine {
         config: &FineTuneConfig,
     ) -> Result<FineTuneResult> {
         let session = self.sessions.get_mut(&id).ok_or(ServeError::UnknownSession(id))?;
-        let result = session.adapt(&self.base, data, config)?;
-        // The private weights changed; recompile the session's plan (the
-        // parameters are snapshotted into the plan at lowering time).
-        let plan = session.model().and_then(|model| {
-            compile_or_log(model, &self.config, &format!("session {id} adapted model")).0
-        });
-        session.set_plan(plan);
-        Ok(result)
+        let (mut model, previous_plan) = match session.take_private() {
+            Some((model, plan)) => (model, Some(plan)),
+            None => (self.base.clone(), None),
+        };
+        // The parameters are snapshotted into the plan at lowering time, so
+        // the new weights need their own plan.
+        let adapted = fine_tune(&mut model, data, data, data, config)
+            .map_err(ServeError::from)
+            .and_then(|result| Ok((result, compile_plan(&model, &self.config)?)));
+        match adapted {
+            Ok((result, plan)) => {
+                session.install(model, plan);
+                Ok(result)
+            }
+            Err(e) => {
+                // `fine_tune` may have stepped the weights before failing;
+                // the plan holds the snapshot they were compiled from.
+                if let Some(plan) = previous_plan {
+                    model
+                        .set_flat_params(plan.params())
+                        .expect("the session's plan was compiled from this model");
+                    session.install(model, plan);
+                }
+                Err(e)
+            }
+        }
     }
 
     /// Validates a `fuse-nn` checkpoint (JSON or binary, auto-detected by
@@ -689,12 +662,11 @@ impl ServeEngine {
     /// *without* applying it, returning a [`PreparedSwap`] whose commit
     /// cannot fail. The engine itself is untouched (`&self`).
     ///
-    /// With a compiled plan the checkpoint is checked against the plan's
-    /// [`fuse_graph::ShapeSignature`] — parameter count and layer names, the
-    /// same checks [`Checkpoint::apply_to`] performs, in the same order — so
-    /// a mismatched checkpoint is a typed pre-commit error and no model
-    /// clone is ever materialised. Only a non-lowerable model falls back to
-    /// validating on a clone.
+    /// The checkpoint is checked against the compiled plan's
+    /// [`fuse_graph::ShapeSignature`] with [`Checkpoint::check_layout`] —
+    /// parameter count and layer names, the checks [`Checkpoint::apply_to`]
+    /// performs — so a mismatched checkpoint is a typed pre-commit error and
+    /// no model clone is ever materialised.
     ///
     /// A cluster router calls this on every shard first and commits only if
     /// every shard prepared successfully — the all-or-nothing fan-out.
@@ -715,36 +687,9 @@ impl ServeEngine {
     ///
     /// Propagates layout mismatches as [`ServeError::Nn`].
     pub fn prepare_hot_swap_checkpoint(&self, checkpoint: Checkpoint) -> Result<PreparedSwap> {
-        let Some(plan) = &self.base_plan else {
-            let mut candidate = self.base.clone();
-            checkpoint.apply_to(&mut candidate)?;
-            return Ok(PreparedSwap { candidate: Some(candidate), checkpoint, plan: None });
-        };
-        let signature = plan.signature();
-        if checkpoint.params.len() != signature.param_len() {
-            return Err(NnError::ParamLengthMismatch {
-                expected: signature.param_len(),
-                actual: checkpoint.params.len(),
-            }
-            .into());
-        }
-        // A param_len field disagreeing with the vector it describes is its
-        // own mismatch; report the lying field, not the vector length.
-        if checkpoint.param_len != signature.param_len() {
-            return Err(NnError::ParamLengthMismatch {
-                expected: signature.param_len(),
-                actual: checkpoint.param_len,
-            }
-            .into());
-        }
-        if checkpoint.layer_names.as_slice() != signature.layer_names() {
-            return Err(NnError::ArchitectureMismatch {
-                expected: signature.layer_names().to_vec(),
-                actual: checkpoint.layer_names.clone(),
-            }
-            .into());
-        }
-        Ok(PreparedSwap { candidate: None, checkpoint, plan: None })
+        let signature = self.base_plan.signature();
+        checkpoint.check_layout(signature.param_len(), signature.layer_names())?;
+        Ok(PreparedSwap { checkpoint, plan: None })
     }
 
     /// Validates a `.fplan` plan artifact ([`ServeEngine::export_plan`])
@@ -752,14 +697,16 @@ impl ServeEngine {
     /// [`PreparedSwap`] whose commit cannot fail. Unlike a checkpoint swap,
     /// committing a plan artifact installs the deserialized [`ExecPlan`]
     /// directly — weights *and* compiled schedule — so the new version never
-    /// recompiles and can never regress to the layer-walk fallback.
+    /// recompiles.
     ///
-    /// The artifact reuses the checkpoint swap's validation ladder: parameter
-    /// count first ([`NnError::ParamLengthMismatch`]), then layer names
-    /// ([`NnError::ArchitectureMismatch`]) — both against the served model —
-    /// then the engine-specific geometry: the plan's input shape must equal
-    /// the configured feature map's and its compiled `max_batch` must cover
-    /// the engine's micro-batch cap (both [`fuse_graph::GraphError::Shape`]).
+    /// The artifact reuses the checkpoint swap's validation ladder
+    /// ([`Checkpoint::check_layout`]): parameter count first
+    /// ([`fuse_nn::NnError::ParamLengthMismatch`]), then layer names
+    /// ([`fuse_nn::NnError::ArchitectureMismatch`]) — both against the served
+    /// plan's signature — then the engine-specific geometry: the plan's input
+    /// shape must equal the configured feature map's and its compiled
+    /// `max_batch` must cover the engine's micro-batch cap (both
+    /// [`fuse_graph::GraphError::Shape`]).
     ///
     /// # Errors
     ///
@@ -791,22 +738,21 @@ impl ServeEngine {
     /// The shared validation ladder of the two plan-artifact prepare entry
     /// points (see [`ServeEngine::prepare_hot_swap_plan`] for the order).
     fn validate_plan_swap(&self, plan: ExecPlan, model_name: &str) -> Result<PreparedSwap> {
+        // `dequantized_params` is the full-signature f32 layout for float
+        // *and* quantized artifacts (a quantized plan's own `params` table
+        // holds only biases); the base model always stores f32, so a
+        // quantized swap applies the int8 weights' dequantized values —
+        // carrying the bounded rounding — while the installed plan itself
+        // executes the int8 tables.
         let signature = plan.signature();
-        if signature.param_len() != self.base.param_len() {
-            return Err(NnError::ParamLengthMismatch {
-                expected: self.base.param_len(),
-                actual: signature.param_len(),
-            }
-            .into());
-        }
-        let expected: Vec<String> = self.base.layer_names().iter().map(|s| s.to_string()).collect();
-        if signature.layer_names() != expected.as_slice() {
-            return Err(NnError::ArchitectureMismatch {
-                actual: signature.layer_names().to_vec(),
-                expected,
-            }
-            .into());
-        }
+        let checkpoint = Checkpoint {
+            model_name: model_name.to_string(),
+            param_len: signature.param_len(),
+            layer_names: signature.layer_names().to_vec(),
+            params: plan.dequantized_params(),
+        };
+        let served = self.base_plan.signature();
+        checkpoint.check_layout(served.param_len(), served.layer_names())?;
         let input_dims = self.config.feature_map.input_dims();
         if plan.input_meta().dims() != input_dims.as_slice() {
             return Err(GraphError::Shape(format!(
@@ -824,19 +770,7 @@ impl ServeEngine {
             ))
             .into());
         }
-        // `dequantized_params` is the full-signature f32 layout for float
-        // *and* quantized artifacts (a quantized plan's own `params` table
-        // holds only biases); the base model always stores f32, so a
-        // quantized swap applies the int8 weights' dequantized values —
-        // carrying the bounded rounding — while the installed plan itself
-        // executes the int8 tables.
-        let checkpoint = Checkpoint {
-            model_name: model_name.to_string(),
-            param_len: signature.param_len(),
-            layer_names: signature.layer_names().to_vec(),
-            params: plan.dequantized_params(),
-        };
-        Ok(PreparedSwap { candidate: None, checkpoint, plan: Some(plan) })
+        Ok(PreparedSwap { checkpoint, plan: Some(plan) })
     }
 
     /// Applies a [`PreparedSwap`] produced by
@@ -847,31 +781,18 @@ impl ServeEngine {
     /// Infallible by construction — every way the swap can fail was checked
     /// at prepare time.
     pub fn commit_hot_swap(&mut self, prepared: PreparedSwap) -> Checkpoint {
-        match prepared.candidate {
-            Some(candidate) => self.base = candidate,
-            None => self
-                .base
-                .set_flat_params(&prepared.checkpoint.params)
-                .expect("prepare_hot_swap validated the parameter count against the plan"),
-        }
+        self.base
+            .set_flat_params(&prepared.checkpoint.params)
+            .expect("prepare_hot_swap validated the parameter count against the plan");
         self.model_version += 1;
-        match prepared.plan {
+        self.base_plan = match prepared.plan {
             // A plan artifact carries its own compiled schedule: install it
             // directly instead of recompiling.
-            Some(plan) => {
-                self.base_plan = Some(plan);
-                self.fallback_reason = None;
-            }
-            None => {
-                let (plan, reason) = compile_or_log(
-                    &self.base,
-                    &self.config,
-                    &format!("base model v{}", self.model_version),
-                );
-                self.base_plan = plan;
-                self.fallback_reason = reason;
-            }
-        }
+            Some(plan) => plan,
+            None => compile_plan(&self.base, &self.config).expect(
+                "a checkpoint changes weights only, and this architecture compiled at construction",
+            ),
+        };
         prepared.checkpoint
     }
 
@@ -921,18 +842,9 @@ impl ServeEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`fuse_graph::GraphError::Unsupported`] when the engine is
-    /// serving through the layer-walk fallback (there is no plan to export;
-    /// [`ServeEngine::fallback_reason`] says why) and propagates write
-    /// failures as [`ServeError::Graph`].
+    /// Propagates write failures as [`ServeError::Graph`].
     pub fn export_plan(&self, path: &Path) -> Result<()> {
-        let plan = self.base_plan.as_ref().ok_or_else(|| {
-            GraphError::Unsupported(
-                "the served model has no compiled plan to export (legacy layer-walk fallback)"
-                    .into(),
-            )
-        })?;
-        Ok(plan.write_plan(path)?)
+        Ok(self.base_plan.write_plan(path)?)
     }
 
     /// Like [`ServeEngine::export_plan`], but derives an int8 weight-quantized
@@ -946,18 +858,10 @@ impl ServeEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`fuse_graph::GraphError::Unsupported`] when the engine is
-    /// serving through the layer-walk fallback, propagates
-    /// [`ExecPlan::quantize`] errors (e.g. non-finite weights) and write
-    /// failures as [`ServeError::Graph`].
+    /// Propagates [`ExecPlan::quantize`] errors (e.g. non-finite weights)
+    /// and write failures as [`ServeError::Graph`].
     pub fn export_quantized_plan(&self, path: &Path) -> Result<()> {
-        let plan = self.base_plan.as_ref().ok_or_else(|| {
-            GraphError::Unsupported(
-                "the served model has no compiled plan to quantize (legacy layer-walk fallback)"
-                    .into(),
-            )
-        })?;
-        Ok(plan.quantize()?.write_plan(path)?)
+        Ok(self.base_plan.quantize()?.write_plan(path)?)
     }
 
     /// Closes a session and packages everything a peer engine needs to
@@ -1004,10 +908,14 @@ impl ServeEngine {
     /// # Errors
     ///
     /// Returns [`ServeError::DuplicateSession`] when the id is already open
-    /// here, and propagates checkpoint-layout mismatches as
-    /// [`ServeError::Nn`] (the state is dropped in that case; the source
-    /// still holds nothing — export is destructive — so callers should
-    /// validate architectures before migrating).
+    /// here, [`ServeError::InvalidConfig`] when the state is inconsistent (a
+    /// slot mask marking more frames than the history carries, or a pending
+    /// feature tensor not shaped like this engine's feature map), and
+    /// propagates checkpoint-layout mismatches as [`ServeError::Nn`] and
+    /// compile errors as [`ServeError::Graph`]. Nothing is inserted on any
+    /// error; the state is dropped (the source still holds nothing — export
+    /// is destructive — so callers should validate architectures before
+    /// migrating).
     pub fn reopen_with_history(&mut self, state: SessionState) -> Result<()> {
         if self.sessions.contains_key(&state.id) {
             return Err(ServeError::DuplicateSession(state.id));
@@ -1023,6 +931,18 @@ impl ServeEngine {
             checkpoint,
             pending,
         } = state;
+        // A mis-shaped tensor would be queued now and only fail inside the
+        // plan run of some later step, so reject it before anything else.
+        let input_dims = self.config.feature_map.input_dims();
+        if let Some((frame_index, features)) =
+            pending.iter().find(|(_, features)| features.dims() != input_dims.as_slice())
+        {
+            return Err(ServeError::InvalidConfig(format!(
+                "session {id} state is inconsistent: pending frame {frame_index} has features \
+                 shaped {:?} but the engine's compiled plans expect {input_dims:?}",
+                features.dims()
+            )));
+        }
         let mut config = SessionConfig::new(id).fusion(fusion);
         if let Some(slo) = slo {
             config = config.slo(slo);
@@ -1051,9 +971,8 @@ impl ServeEngine {
         if let Some(ckpt) = checkpoint {
             let mut model = self.base.clone();
             ckpt.apply_to(&mut model)?;
-            let (plan, _) =
-                compile_or_log(&model, &self.config, &format!("session {id} migrated model"));
-            session.install_model(model, plan);
+            let plan = compile_plan(&model, &self.config)?;
+            session.install(model, plan);
         }
         self.sessions.insert(id, session);
         let submitted = Instant::now();
@@ -1069,42 +988,11 @@ fn ms_since(start: Instant) -> f64 {
 }
 
 /// Lowers `model` for the engine's feature geometry and compiles it into an
-/// [`ExecPlan`] sized for the micro-batch cap, returning either the plan or
-/// the reason compilation fell back to the legacy layer walk (a layer
-/// without an op-graph lowering, or shapes that do not chain from the
-/// configured feature map).
-fn compile_plan(
-    model: &Sequential,
-    config: &ServeConfig,
-) -> std::result::Result<ExecPlan, GraphError> {
-    match LoweringRequest::new(model, &config.feature_map.input_dims())
-        .max_batch(config.max_batch)
-        .fallback(FallbackPolicy::LegacyWalk)
-        .compile()?
-    {
-        Compiled::Plan(plan) => Ok(plan),
-        Compiled::Fallback(reason) => Err(reason),
-    }
-}
-
-/// [`compile_plan`], logging the fallback reason. Compilation runs exactly
-/// once per model version (construction, hot-swap commit, adaptation), so
-/// this logs once per version — not once per served frame.
-fn compile_or_log(
-    model: &Sequential,
-    config: &ServeConfig,
-    context: &str,
-) -> (Option<ExecPlan>, Option<GraphError>) {
-    match compile_plan(model, config) {
-        Ok(plan) => (Some(plan), None),
-        Err(reason) => {
-            eprintln!(
-                "fuse-serve: {context} cannot be compiled to a plan, \
-                 serving via the legacy layer walk: {reason}"
-            );
-            (None, Some(reason))
-        }
-    }
+/// [`ExecPlan`] sized for the micro-batch cap. Fails when a layer has no
+/// op-graph lowering or the shapes do not chain from the configured feature
+/// map.
+fn compile_plan(model: &Sequential, config: &ServeConfig) -> fuse_graph::Result<ExecPlan> {
+    LoweringRequest::new(model, &config.feature_map.input_dims()).lower()?.compile(config.max_batch)
 }
 
 /// Stages `features` contiguously into `staging` and runs the compiled plan
@@ -1592,20 +1480,9 @@ mod tests {
     }
 
     #[test]
-    fn export_quantized_plan_requires_a_compiled_plan() {
-        use fuse_nn::layers::Linear;
-        let model = Sequential::new(vec![Box::new(Linear::new(10, 4, 1).unwrap())]);
-        let engine = ServeEngine::new(model, ServeConfig::default()).unwrap();
-        assert!(engine.plan().is_none());
-        assert!(matches!(
-            engine.export_quantized_plan(Path::new("/nonexistent/out.fplan")).unwrap_err(),
-            ServeError::Graph(GraphError::Unsupported(_))
-        ));
-    }
-
-    #[test]
     fn prepare_hot_swap_plan_rejects_mismatched_artifacts() {
         use fuse_graph::GraphError;
+        use fuse_nn::NnError;
         let dir = std::env::temp_dir().join("fuse_serve_plan_swap_mismatch_test");
         std::fs::create_dir_all(&dir).unwrap();
 
@@ -1644,27 +1521,72 @@ mod tests {
     }
 
     #[test]
-    fn non_lowerable_models_fall_back_visibly_and_are_counted() {
+    fn non_lowerable_models_are_a_typed_error_at_construction() {
         use fuse_nn::layers::Linear;
-        // A model whose first layer disagrees with the feature geometry
-        // cannot be lowered; the engine must serve (or fail) through the
-        // legacy walk *visibly* instead of silently.
+        // A model whose first layer disagrees with the feature geometry does
+        // not lower, so the engine cannot be built.
         let model = Sequential::new(vec![Box::new(Linear::new(10, 4, 1).unwrap())]);
-        let mut engine = ServeEngine::new(model, ServeConfig::default()).unwrap();
-        assert!(engine.plan().is_none());
-        assert!(engine.fallback_reason().is_some(), "the lowering error must be kept");
-        assert!(matches!(
-            engine.export_plan(Path::new("/nonexistent/out.fplan")).unwrap_err(),
-            ServeError::Graph(fuse_graph::GraphError::Unsupported(_))
-        ));
-        assert_eq!(engine.recorder().legacy_fallback_frames(), 0);
-        engine.open_session(SessionConfig::new(1)).unwrap();
-        engine.submit(1, frame(0, 8)).unwrap();
-        // The forward itself fails (the layer rejects the stacked feature
-        // map), but the frame was already routed to — and counted against —
-        // the fallback path.
-        let _ = engine.step();
-        assert_eq!(engine.recorder().legacy_fallback_frames(), 1);
+        let err = ServeEngine::new(model, ServeConfig::default()).unwrap_err();
+        assert!(matches!(err, ServeError::Graph(_)), "expected a compile error, got {err}");
+    }
+
+    #[test]
+    fn a_failed_adaptation_leaves_the_session_as_it_was() {
+        use fuse_dataset::{encode_dataset, MarsSynthesizer, SynthesisConfig};
+        let data = MarsSynthesizer::new(SynthesisConfig::tiny()).generate().unwrap();
+        let fusion = FrameFusion::default();
+        let good = encode_dataset(&data, &fusion, &FeatureMapBuilder::default()).unwrap();
+        // Encoded 5×4×4 against the engine's 5×8×8 geometry: fine-tuning
+        // fails on the first forward pass.
+        let bad = encode_dataset(&data, &fusion, &FeatureMapBuilder::new(4, 4)).unwrap();
+        let config = FineTuneConfig { epochs: 1, batch_size: 16, ..FineTuneConfig::default() };
+
+        // Two identical engines: session 1 unadapted, session 2 adapted.
+        // Only `failed` sees the failing adaptations.
+        let mut failed = tiny_engine();
+        let mut reference = tiny_engine();
+        for engine in [&mut failed, &mut reference] {
+            engine.open_session(SessionConfig::new(1)).unwrap();
+            engine.open_session(SessionConfig::new(2)).unwrap();
+            engine.adapt_session(2, &good, &config).unwrap();
+        }
+        assert!(matches!(failed.adapt_session(1, &bad, &config), Err(ServeError::Core(_))));
+        assert!(matches!(failed.adapt_session(2, &bad, &config), Err(ServeError::Core(_))));
+        assert!(
+            !failed.session(1).unwrap().is_adapted(),
+            "a failed first adaptation must not adapt"
+        );
+        assert!(failed.session(1).unwrap().model().is_none());
+
+        for engine in [&mut failed, &mut reference] {
+            engine.submit(1, frame(3, 16)).unwrap();
+            engine.submit(2, frame(3, 16)).unwrap();
+            assert_eq!(engine.step().unwrap(), 2);
+        }
+        let responses = failed.take_responses();
+        assert_eq!(responses, reference.take_responses(), "responses must be bit-identical");
+        assert!(!responses[0].adapted && responses[1].adapted);
+        assert!(failed.export_session(1).unwrap().checkpoint.is_none());
+    }
+
+    #[test]
+    fn imported_pending_frames_of_the_wrong_shape_are_a_typed_error() {
+        let mut source = tiny_engine();
+        source.open_session(SessionConfig::new(4)).unwrap();
+        source.submit(4, frame(1, 8)).unwrap();
+        let mut state = source.export_session(4).unwrap();
+        state.pending.push((1, Tensor::zeros(&[3])));
+
+        let mut engine = tiny_engine();
+        let err = engine.reopen_with_history(state.clone()).unwrap_err();
+        assert!(matches!(err, ServeError::InvalidConfig(_)), "expected a typed error, got {err}");
+        assert_eq!(engine.session_count(), 0, "nothing may be inserted");
+        assert_eq!(engine.pending_len(), 0);
+
+        // The well-formed part of the same state imports and serves.
+        state.pending.pop();
+        engine.reopen_with_history(state).unwrap();
+        assert_eq!(engine.step().unwrap(), 1);
     }
 
     #[test]

@@ -109,11 +109,6 @@ pub struct LatencyRecorder {
     budget_ms: f64,
     sample_window: usize,
     samples: [VecDeque<f64>; 4],
-    /// Frames served through the legacy layer walk because the model had no
-    /// compiled plan — a lifetime counter, not windowed like the samples: a
-    /// fallback is an operational condition worth noticing even when it
-    /// happened longer ago than the sample window remembers.
-    legacy_fallback_frames: u64,
 }
 
 impl LatencyRecorder {
@@ -124,7 +119,6 @@ impl LatencyRecorder {
             budget_ms,
             sample_window: DEFAULT_SAMPLE_WINDOW,
             samples: std::array::from_fn(|_| VecDeque::new()),
-            legacy_fallback_frames: 0,
         }
     }
 
@@ -166,20 +160,6 @@ impl LatencyRecorder {
         samples.push_back(ms);
     }
 
-    /// Counts `frames` served through the legacy layer walk instead of a
-    /// compiled plan. The engine calls this per micro-batch group so the
-    /// fallback — a silent perf cliff before it was metered — shows up in
-    /// every report.
-    pub fn record_legacy_fallback(&mut self, frames: u64) {
-        self.legacy_fallback_frames += frames;
-    }
-
-    /// Lifetime count of frames served through the legacy layer walk (zero
-    /// while the engine holds a compiled plan for every model it serves).
-    pub fn legacy_fallback_frames(&self) -> u64 {
-        self.legacy_fallback_frames
-    }
-
     /// Number of samples recorded for a stage.
     pub fn count(&self, stage: Stage) -> usize {
         self.samples[stage.index()].len()
@@ -207,25 +187,23 @@ impl LatencyRecorder {
         self.samples[stage.index()].iter().copied()
     }
 
-    /// Takes every sample and the legacy-fallback delta accumulated since
-    /// the previous drain, leaving this recorder empty (budget and window
-    /// are kept). This is the shard side of cluster aggregation: a worker
-    /// drains its engine recorder per metrics snapshot and the router
-    /// [`absorb`](LatencyRecorder::absorb)s the drained deltas into one
-    /// long-lived aggregate, so polling metrics twice can never re-count a
-    /// sample or re-add the fallback counter.
+    /// Takes every sample accumulated since the previous drain, leaving this
+    /// recorder empty (budget and window are kept). This is the shard side
+    /// of cluster aggregation: a worker drains its engine recorder per
+    /// metrics snapshot and the router [`absorb`](LatencyRecorder::absorb)s
+    /// the drained deltas into one long-lived aggregate, so polling metrics
+    /// twice can never re-count a sample.
     pub fn drain(&mut self) -> LatencyRecorder {
         LatencyRecorder {
             budget_ms: self.budget_ms,
             sample_window: self.sample_window,
             samples: std::mem::replace(&mut self.samples, std::array::from_fn(|_| VecDeque::new())),
-            legacy_fallback_frames: std::mem::take(&mut self.legacy_fallback_frames),
         }
     }
 
     /// Appends every sample held by `other`, stage by stage in pipeline
-    /// order, bounded by this recorder's own window, and adds `other`'s
-    /// legacy-fallback count. This is the cluster aggregation primitive: a
+    /// order, bounded by this recorder's own window. This is the cluster
+    /// aggregation primitive: a
     /// router absorbs each shard's *drained* snapshot (in shard order, so
     /// the merged view is deterministic for a given set of shard snapshots)
     /// to report fleet-wide percentiles against one budget. Feed it the
@@ -237,15 +215,13 @@ impl LatencyRecorder {
                 self.record(stage, other.samples[stage.index()][i]);
             }
         }
-        self.legacy_fallback_frames += other.legacy_fallback_frames;
     }
 
-    /// Discards all recorded samples and counters, keeping the budget.
+    /// Discards all recorded samples, keeping the budget.
     pub fn clear(&mut self) {
         for s in &mut self.samples {
             s.clear();
         }
-        self.legacy_fallback_frames = 0;
     }
 
     /// Renders the full per-stage summary.
@@ -254,7 +230,6 @@ impl LatencyRecorder {
             budget_ms: self.budget_ms,
             stages: Stage::ALL.iter().filter_map(|&s| Some((s, self.stats(s)?))).collect(),
             within_budget_fraction: self.within_budget_fraction(),
-            legacy_fallback_frames: self.legacy_fallback_frames,
         }
     }
 }
@@ -274,9 +249,6 @@ pub struct LatencyReport {
     pub stages: Vec<(Stage, StageStats)>,
     /// Fraction of frames that met the budget (when totals were recorded).
     pub within_budget_fraction: Option<f64>,
-    /// Frames served through the legacy layer walk instead of a compiled
-    /// plan (see [`LatencyRecorder::record_legacy_fallback`]).
-    pub legacy_fallback_frames: u64,
 }
 
 impl std::fmt::Display for LatencyReport {
@@ -303,15 +275,7 @@ impl std::fmt::Display for LatencyReport {
                 write!(f, "within {:.0} ms budget: {:.1}% of frames", self.budget_ms, 100.0 * frac)
             }
             None => write!(f, "budget: {:.0} ms (no end-to-end samples recorded)", self.budget_ms),
-        }?;
-        if self.legacy_fallback_frames > 0 {
-            write!(
-                f,
-                "\nlegacy layer-walk fallback served {} frame(s) (no compiled plan)",
-                self.legacy_fallback_frames
-            )?;
         }
-        Ok(())
     }
 }
 
@@ -373,31 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_fallback_counter_flows_through_absorb_clear_and_report() {
-        let mut rec = LatencyRecorder::new(100.0);
-        assert_eq!(rec.legacy_fallback_frames(), 0);
-        rec.record_legacy_fallback(3);
-        rec.record_legacy_fallback(2);
-        assert_eq!(rec.legacy_fallback_frames(), 5);
-
-        let mut agg = LatencyRecorder::new(100.0);
-        agg.record_legacy_fallback(1);
-        agg.absorb(&rec);
-        assert_eq!(agg.legacy_fallback_frames(), 6, "absorb must sum shard counters");
-
-        let report = agg.report();
-        assert_eq!(report.legacy_fallback_frames, 6);
-        assert!(report.to_string().contains("legacy layer-walk fallback served 6 frame(s)"));
-        assert!(
-            !LatencyRecorder::new(100.0).report().to_string().contains("fallback"),
-            "a plan-served engine's report must not mention the fallback"
-        );
-
-        agg.clear();
-        assert_eq!(agg.legacy_fallback_frames(), 0);
-    }
-
-    #[test]
     fn non_finite_samples_are_rejected_at_record_time() {
         let mut rec = LatencyRecorder::new(100.0);
         rec.record(Stage::Total, 1.0);
@@ -419,28 +358,23 @@ mod tests {
         let mut shard = LatencyRecorder::new(100.0).with_sample_window(8);
         shard.record(Stage::Total, 4.0);
         shard.record(Stage::Total, 6.0);
-        shard.record_legacy_fallback(5);
 
         let mut agg = LatencyRecorder::new(100.0);
         agg.absorb(&shard.drain());
         // Nothing new happened on the shard: a second metrics poll must
-        // contribute zero samples and zero fallback frames.
+        // contribute zero samples.
         agg.absorb(&shard.drain());
         let stats = agg.stats(Stage::Total).unwrap();
         assert_eq!(stats.count, 2, "a re-drained shard must not re-add its samples");
-        assert_eq!(agg.legacy_fallback_frames(), 5, "fallback counter must be a drained delta");
 
         // The shard keeps recording after a drain; only the delta travels.
         shard.record(Stage::Total, 8.0);
-        shard.record_legacy_fallback(1);
         let snapshot = shard.drain();
         assert_eq!(snapshot.sample_window(), 8, "drain preserves the window");
         assert_eq!(snapshot.budget_ms(), 100.0, "drain preserves the budget");
         agg.absorb(&snapshot);
         assert_eq!(agg.stats(Stage::Total).unwrap().count, 3);
-        assert_eq!(agg.legacy_fallback_frames(), 6);
         assert_eq!(shard.count(Stage::Total), 0);
-        assert_eq!(shard.legacy_fallback_frames(), 0);
     }
 
     #[test]

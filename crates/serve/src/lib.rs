@@ -9,12 +9,15 @@
 //!   delay line and featurization as an explicit per-session op state, with
 //!   deterministic missing-frame ticks for variable cadence and dropout;
 //! * [`Session`] — one client's streaming-op state plus, once adapted
-//!   online, a private fine-tuned clone of the served model; created from
-//!   the typed [`SessionConfig`] builder, optionally carrying a service
-//!   class ([`SloClass`]) the cluster layer maps to backpressure;
-//! * [`ServeEngine`] — owns the shared base model and the open sessions,
-//!   micro-batches pending frames across sessions into stacked forward
-//!   passes, and hot-swaps `fuse-nn` checkpoints without downtime;
+//!   online, a private fine-tuned clone of the served model and its
+//!   compiled plan; created from the typed [`SessionConfig`] builder,
+//!   optionally carrying a service class ([`SloClass`]) the cluster layer
+//!   maps to backpressure;
+//! * [`ServeEngine`] — owns the shared base model, its compiled plan and
+//!   the open sessions, micro-batches pending frames across sessions into
+//!   stacked plan runs, and hot-swaps `fuse-nn` checkpoints without
+//!   downtime. A model that does not lower to a plan is a typed
+//!   [`ServeError::Graph`] at construction;
 //! * [`LatencyRecorder`] — per-stage p50/p95/p99 latency summaries.
 //!
 //! Responses are **deterministic by construction**: pending frames are

@@ -4,8 +4,9 @@
 //! state of the streaming ops (the fusion delay line and featurization
 //! counters — see [`crate::stream`]), an optional service-level class, and —
 //! once the client has been adapted online — a private fine-tuned clone of
-//! the served model. Sessions are plain state holders; the
-//! [`crate::ServeEngine`] drives them and owns the shared base model.
+//! the served model together with its compiled plan. Sessions are plain
+//! state holders; the [`crate::ServeEngine`] drives them, owns the shared
+//! base model and builds every private model and plan.
 //!
 //! Sessions are created from a [`SessionConfig`], the typed builder that
 //! replaced the old positional `Session::new(id, fusion, builder)`:
@@ -18,14 +19,12 @@
 //! assert_eq!(session.slo_class(), Some(SloClass::Clinical));
 //! ```
 
-use fuse_core::{fine_tune, FineTuneConfig, FineTuneResult};
-use fuse_dataset::{EncodedDataset, FeatureMapBuilder, FrameFusion};
+use fuse_dataset::{FeatureMapBuilder, FrameFusion};
 use fuse_graph::ExecPlan;
 use fuse_nn::Sequential;
 use fuse_radar::{PointCloudFrame, RadarPoint};
 use fuse_tensor::Tensor;
 
-use crate::error::ServeError;
 use crate::stream::{FeaturizeOp, FeaturizeState, FusionOp, FusionState, StreamOp};
 use crate::Result;
 
@@ -116,7 +115,7 @@ impl SessionConfig {
 
     /// Overrides the feature-map geometry for this session. An engine
     /// rejects overrides whose input dimensions disagree with its compiled
-    /// plans ([`ServeError::InvalidConfig`]).
+    /// plans ([`crate::ServeError::InvalidConfig`]).
     pub fn feature_map(mut self, builder: FeatureMapBuilder) -> Self {
         self.feature_map = Some(builder);
         self
@@ -167,12 +166,10 @@ pub struct Session {
     fusion_state: FusionState,
     featurize_op: FeaturizeOp,
     featurize_state: FeaturizeState,
-    /// Private fine-tuned model; `None` means the session serves from the
-    /// engine's shared base model.
-    model: Option<Sequential>,
-    /// Compiled execution plan of the private model, rebuilt by the engine
-    /// after every adaptation; `None` falls back to the layer walk.
-    plan: Option<ExecPlan>,
+    /// Private fine-tuned model and the plan compiled from its weights,
+    /// installed together by the engine after an adaptation or migration;
+    /// `None` means the session serves from the engine's shared base model.
+    private: Option<(Sequential, ExecPlan)>,
     /// Number of frames ingested over the session's lifetime (ticks are not
     /// frames — see [`Session::ticks_seen`]).
     frames_seen: u64,
@@ -200,8 +197,7 @@ impl Session {
             fusion_state,
             featurize_op,
             featurize_state,
-            model: None,
-            plan: None,
+            private: None,
             frames_seen: 0,
             ticks_seen: 0,
         }
@@ -268,40 +264,37 @@ impl Session {
         self.ticks_seen = ticks_seen;
     }
 
-    /// Installs a private model (and its compiled plan) directly; used when
-    /// a migrated session's fine-tuned weights are restored from an `FCKP`
-    /// payload rather than produced by [`Session::adapt`].
-    pub(crate) fn install_model(&mut self, model: Sequential, plan: Option<ExecPlan>) {
-        self.model = Some(model);
-        self.plan = plan;
+    /// Installs a private model and the plan compiled from its weights,
+    /// replacing any previous pair (an adaptation, or a migrated session's
+    /// fine-tuned weights restored from an `FCKP` payload).
+    pub(crate) fn install(&mut self, model: Sequential, plan: ExecPlan) {
+        self.private = Some((model, plan));
+    }
+
+    /// Removes and returns the private model and plan; the session serves
+    /// from the shared base model until a pair is installed again.
+    pub(crate) fn take_private(&mut self) -> Option<(Sequential, ExecPlan)> {
+        self.private.take()
     }
 
     /// `true` once the session serves from a private fine-tuned model.
     pub fn is_adapted(&self) -> bool {
-        self.model.is_some()
+        self.private.is_some()
     }
 
     /// The session's private model, when adapted.
     pub fn model(&self) -> Option<&Sequential> {
-        self.model.as_ref()
+        self.private.as_ref().map(|(model, _)| model)
     }
 
-    pub(crate) fn model_mut(&mut self) -> Option<&mut Sequential> {
-        self.model.as_mut()
-    }
-
-    /// The compiled execution plan of the session's private model, when the
-    /// session is adapted and its model lowered cleanly.
+    /// The compiled execution plan of the session's private model, when
+    /// adapted.
     pub fn plan(&self) -> Option<&ExecPlan> {
-        self.plan.as_ref()
+        self.private.as_ref().map(|(_, plan)| plan)
     }
 
     pub(crate) fn plan_mut(&mut self) -> Option<&mut ExecPlan> {
-        self.plan.as_mut()
-    }
-
-    pub(crate) fn set_plan(&mut self, plan: Option<ExecPlan>) {
-        self.plan = plan;
+        self.private.as_mut().map(|(_, plan)| plan)
     }
 
     /// Advances the fusion delay line with a frame (evicting the oldest slot
@@ -354,9 +347,9 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::UnknownSession`]-free pipeline errors only:
+    /// Returns [`crate::ServeError::UnknownSession`]-free pipeline errors only:
     /// feature-map construction failures propagate as
-    /// [`ServeError::Dataset`].
+    /// [`crate::ServeError::Dataset`].
     pub fn featurize_latest(&self) -> Result<Tensor> {
         let points = self.fused_points();
         debug_assert_eq!(
@@ -367,29 +360,11 @@ impl Session {
         Ok(self.feature_map().build(points, None)?)
     }
 
-    /// Fine-tunes this session's private model on `data` (used both as the
-    /// adaptation set and as the per-epoch evaluation set), cloning `base`
-    /// first if the session has not been adapted yet.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration and training errors as [`ServeError::Core`].
-    pub(crate) fn adapt(
-        &mut self,
-        base: &Sequential,
-        data: &EncodedDataset,
-        config: &FineTuneConfig,
-    ) -> Result<FineTuneResult> {
-        let model = self.model.get_or_insert_with(|| base.clone());
-        fine_tune(model, data, data, data, config).map_err(ServeError::from)
-    }
-
     /// Drops the private model (and its compiled plan): the session goes back
     /// to serving from the engine's shared base model (e.g. after a
     /// checkpoint hot-swap).
     pub fn reset_to_base(&mut self) {
-        self.model = None;
-        self.plan = None;
+        self.private = None;
     }
 }
 
@@ -491,12 +466,18 @@ mod tests {
 
     #[test]
     fn reset_to_base_drops_the_private_model() {
+        use fuse_nn::layers::Linear;
+        use fuse_nn::LoweringRequest;
         let mut s = Session::new(SessionConfig::new(4));
         assert!(!s.is_adapted());
         assert!(s.model().is_none());
-        s.model = Some(Sequential::new(Vec::new()));
+        let model = Sequential::new(vec![Box::new(Linear::new(2, 1, 0).unwrap())]);
+        let plan = LoweringRequest::new(&model, &[2]).lower().unwrap().compile(1).unwrap();
+        s.install(model, plan);
         assert!(s.is_adapted());
+        assert!(s.plan().is_some());
         s.reset_to_base();
         assert!(!s.is_adapted());
+        assert!(s.plan().is_none());
     }
 }

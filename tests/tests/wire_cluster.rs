@@ -360,3 +360,52 @@ fn a_malformed_request_gets_a_typed_error_and_the_shard_keeps_serving() {
     assert!(matches!(bye, WireResponse::ShuttingDown), "shutdown got {bye:?}");
     host.join().expect("host thread joins");
 }
+
+/// Failure semantics: an imported session whose pending frames are not
+/// shaped like the host's feature map must get a typed error reply — queued,
+/// such a frame would panic the worker at the next step and take the whole
+/// shard down — and the host shard must keep serving the requests after it.
+#[test]
+fn a_mis_shaped_import_gets_a_typed_error_and_the_shard_keeps_serving() {
+    use fuse_dataset::FrameFusion;
+    use fuse_net::{RpcClient, WireError, WireRequest, WireResponse};
+    use fuse_serve::SessionState;
+    use fuse_tensor::Tensor;
+
+    let (client_end, host_end) = sim_pair(FaultConfig::default(), FaultConfig::default());
+    let host = spawn_host(ClusterConfig::default(), host_end);
+    let mut client = RpcClient::new(client_end);
+    let mut call = |request: WireRequest| {
+        WireResponse::decode(&client.call(&request.encode()).unwrap()).unwrap()
+    };
+
+    let state = SessionState {
+        id: 9,
+        slo: None,
+        fusion: FrameFusion::default(),
+        frames_seen: 1,
+        ticks_seen: 1,
+        history: Vec::new(),
+        slot_mask: Vec::new(),
+        checkpoint: None,
+        pending: vec![(0, Tensor::zeros(&[3]))],
+    };
+    match call(WireRequest::ImportSession { state: Box::new(state) }) {
+        WireResponse::Error(WireError::Other(msg)) => {
+            assert!(msg.contains("pending frame"), "{msg}")
+        }
+        other => panic!("a mis-shaped import got {other:?}"),
+    }
+    let opened = call(WireRequest::Open { config: SessionConfig::new(3) });
+    assert!(matches!(opened, WireResponse::Opened), "open got {opened:?}");
+    let frame = golden_frames().remove(0);
+    let submitted = call(WireRequest::Submit { id: 3, frame });
+    assert!(matches!(submitted, WireResponse::Submitted), "submit got {submitted:?}");
+    match call(WireRequest::Flush) {
+        WireResponse::Flushed(report) => assert_eq!(report.responses.len(), 1),
+        other => panic!("flush got {other:?}"),
+    }
+    let bye = call(WireRequest::Shutdown);
+    assert!(matches!(bye, WireResponse::ShuttingDown), "shutdown got {bye:?}");
+    host.join().expect("host thread joins");
+}
