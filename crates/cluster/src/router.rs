@@ -53,7 +53,7 @@ pub struct ClosedSession {
     pub session_id: u64,
     /// The shard the session lived on.
     pub shard: usize,
-    /// Whether the session had been adapted to a private model.
+    /// Whether the session had been adapted to a private plan.
     pub adapted: bool,
     /// Frame indices that were still queued when the session closed —
     /// returned for accounting, never silently dropped.
@@ -477,7 +477,7 @@ impl ClusterRouter {
         Ok(self.recv_ack(shard, &ack_rx, "adapt_session")??)
     }
 
-    /// Moves a live session — fusion history, private fine-tuned model and
+    /// Moves a live session — fusion history, private fine-tuned plan and
     /// still-pending frames — to `target_shard`, which may be local or
     /// remote. The session's state travels bit-exactly (parameters as their
     /// `FCKP` bit patterns, featurized tensors as-is), so every response

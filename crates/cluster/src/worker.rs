@@ -45,7 +45,7 @@ pub(crate) type ShardResult<T> = std::result::Result<T, ServeError>;
 /// Outcome of closing a session on its shard.
 #[derive(Debug)]
 pub(crate) struct CloseReport {
-    /// Whether the closed session had been adapted to a private model.
+    /// Whether the closed session had been adapted to a private plan.
     pub adapted: bool,
     /// Frame indices that were still queued (returned by the engine, not
     /// silently dropped).
@@ -145,8 +145,8 @@ pub(crate) enum Command {
         ack: Sender<u64>,
     },
     AbortSwap,
-    /// Extract a session's full state (history, private model, pending
-    /// frames) for migration; the session closes on this shard.
+    /// Extract a session's full state (history, private plan's weights,
+    /// pending frames) for migration; the session closes on this shard.
     Export {
         id: u64,
         ack: Sender<ShardResult<Box<SessionState>>>,

@@ -34,9 +34,10 @@ impl FrameFusion {
         self.half_window
     }
 
-    /// Total number of frames fused per sample (`2M + 1`).
+    /// Total number of frames fused per sample (`2M + 1`, saturating at
+    /// `usize::MAX`).
     pub fn frame_count(&self) -> usize {
-        2 * self.half_window + 1
+        self.half_window.saturating_mul(2).saturating_add(1)
     }
 
     /// Fuses the frames around index `k` of a temporally ordered sequence.
@@ -50,7 +51,7 @@ impl FrameFusion {
             return points;
         }
         let start = k.saturating_sub(self.half_window);
-        let end = (k + self.half_window).min(sequence.len() - 1);
+        let end = k.saturating_add(self.half_window).min(sequence.len() - 1);
         for frame in &sequence[start..=end] {
             points.extend_from_slice(&frame.points);
         }
@@ -133,6 +134,16 @@ mod tests {
         let fused5 = FrameFusion::new(2).fused_points_owned(&frames, 4).len();
         assert_eq!(fused3, 3 * single);
         assert_eq!(fused5, 5 * single);
+    }
+
+    #[test]
+    fn huge_windows_saturate_instead_of_overflowing() {
+        let frames: Vec<PointCloudFrame> = (0..4).map(|i| frame_with(2, i as f32)).collect();
+        for fusion in [FrameFusion::new(1 << 40), FrameFusion::new(usize::MAX)] {
+            assert_eq!(fusion.fused_points_owned(&frames, 3).len(), 8);
+            assert_eq!(fusion.fused_points_owned(&frames, 0).len(), 8);
+        }
+        assert_eq!(FrameFusion::new(usize::MAX).frame_count(), usize::MAX);
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub enum WireRequest {
         /// The new effective per-session queue capacity.
         queue_capacity: u64,
     },
-    /// Fine-tune a session's private model on encoded samples.
+    /// Fine-tune a session on encoded samples, replacing its private plan.
     Adapt {
         /// Session id.
         id: u64,
@@ -157,7 +157,7 @@ pub enum WireResponse {
 /// What a closed session left behind (mirrors the local close report).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireCloseReport {
-    /// `true` when the session had a private fine-tuned model.
+    /// `true` when the session had a private fine-tuned plan.
     pub adapted: bool,
     /// Frame indices still queued when the session closed — returned for
     /// accounting, never silently dropped.

@@ -10,6 +10,7 @@
 use std::fs;
 use std::path::Path;
 
+use fuse_graph::ExecPlan;
 use fuse_tensor::codec::{decode_f32s, encode_f32s, Format};
 use serde::{Deserialize, Serialize};
 
@@ -57,6 +58,21 @@ impl Checkpoint {
             param_len: model.param_len(),
             layer_names: model.layer_names().iter().map(|s| s.to_string()).collect(),
             params: model.flat_params(),
+        }
+    }
+
+    /// Snapshots a compiled plan's parameters and layout fingerprint: its
+    /// signature's parameter count and layer names, and its parameters in
+    /// the signature's full f32 layout ([`ExecPlan::dequantized_params`], so
+    /// a quantized plan yields its dequantized weights). For a float plan
+    /// this equals [`Checkpoint::capture`] of the model it was compiled from.
+    pub fn of_plan(plan: &ExecPlan, model_name: &str) -> Checkpoint {
+        let signature = plan.signature();
+        Checkpoint {
+            model_name: model_name.to_string(),
+            param_len: signature.param_len(),
+            layer_names: signature.layer_names().to_vec(),
+            params: plan.dequantized_params(),
         }
     }
 
@@ -322,6 +338,16 @@ mod tests {
         let b = restored.forward(&x, false).unwrap();
         assert_eq!(a, b);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_float_plan_checkpoints_to_the_bytes_of_its_model() {
+        let m = model(4);
+        let plan = crate::LoweringRequest::new(&m, &[4]).lower().unwrap().compile(2).unwrap();
+        assert_eq!(
+            Checkpoint::of_plan(&plan, "same").to_binary(),
+            Checkpoint::capture(&m, "same").to_binary()
+        );
     }
 
     #[test]

@@ -4,12 +4,13 @@
 //! example into a reusable subsystem:
 //!
 //! * **Sessions** — each client holds its own fusion history and, after
-//!   online adaptation, a private fine-tuned model ([`Session`]).
+//!   online adaptation, a private plan compiled from its fine-tuned weights
+//!   ([`Session`]).
 //! * **Micro-batching** — frames submitted between two [`ServeEngine::step`]
 //!   calls are featurized on arrival and queued; `step` stacks every pending
 //!   frame of base-model sessions into one `[N, C, H, W]` forward pass (the
 //!   kernels underneath run on the `fuse-parallel` pool), while adapted
-//!   sessions run one stacked pass per private model.
+//!   sessions run one stacked pass per private plan.
 //! * **Determinism with fairness** — pending frames are scheduled
 //!   round-robin across sessions (per-session queue rank, oldest first, ties
 //!   by session id), so a flooding session cannot starve the others past
@@ -109,7 +110,7 @@ pub struct ServeResponse {
     pub frame_index: u64,
     /// Version of the shared base model at inference time.
     pub model_version: u64,
-    /// `true` when the prediction came from the session's private model.
+    /// `true` when the prediction came from the session's private plan.
     pub adapted: bool,
     /// Predicted joint coordinates (57 values: 19 joints × x/y/z).
     pub joints: Vec<f32>,
@@ -188,8 +189,8 @@ impl PreparedSwap {
 ///
 /// The state is deliberately *model-relative*: an adapted session's private
 /// weights travel as an `FCKP` [`Checkpoint`] (the same container the
-/// hot-swap fan-out ships), and the receiving engine rebuilds the private
-/// model by cloning its own base architecture and applying the checkpoint —
+/// hot-swap fan-out ships), and the receiving engine compiles the private
+/// plan from a clone of its base architecture with the checkpoint applied —
 /// so a migration is validated by exactly the checks a hot-swap is.
 #[derive(Debug, Clone)]
 pub struct SessionState {
@@ -611,10 +612,11 @@ impl ServeEngine {
     }
 
     /// Fine-tunes a session online on `data` (used as both the adaptation and
-    /// per-epoch evaluation set). The first adaptation starts from the shared
-    /// base model; later calls continue from the session's private weights.
-    /// The fine-tuned model and its freshly compiled plan replace the
-    /// session's previous pair only when both succeed: a failed adaptation
+    /// per-epoch evaluation set), starting from the session's private weights
+    /// or, for a first adaptation, the shared base model. Training runs on a
+    /// fresh clone of the base architecture, so the result is a function of
+    /// those weights, `data` and `config` alone. The session's plan is
+    /// replaced only once training and compiling succeed: a failed adaptation
     /// leaves the session serving exactly what it served before.
     ///
     /// # Errors
@@ -629,32 +631,15 @@ impl ServeEngine {
         config: &FineTuneConfig,
     ) -> Result<FineTuneResult> {
         let session = self.sessions.get_mut(&id).ok_or(ServeError::UnknownSession(id))?;
-        let (mut model, previous_plan) = match session.take_private() {
-            Some((model, plan)) => (model, Some(plan)),
-            None => (self.base.clone(), None),
-        };
-        // The parameters are snapshotted into the plan at lowering time, so
-        // the new weights need their own plan.
-        let adapted = fine_tune(&mut model, data, data, data, config)
-            .map_err(ServeError::from)
-            .and_then(|result| Ok((result, compile_plan(&model, &self.config)?)));
-        match adapted {
-            Ok((result, plan)) => {
-                session.install(model, plan);
-                Ok(result)
-            }
-            Err(e) => {
-                // `fine_tune` may have stepped the weights before failing;
-                // the plan holds the snapshot they were compiled from.
-                if let Some(plan) = previous_plan {
-                    model
-                        .set_flat_params(plan.params())
-                        .expect("the session's plan was compiled from this model");
-                    session.install(model, plan);
-                }
-                Err(e)
-            }
+        let mut model = self.base.clone();
+        if let Some(plan) = session.plan() {
+            model.set_flat_params(plan.params())?;
         }
+        let result = fine_tune(&mut model, data, data, data, config)?;
+        // The parameters are snapshotted into the plan at lowering time, so
+        // the new weights need their own plan; the model is dropped here.
+        session.install(compile_plan(&model, &self.config)?);
+        Ok(result)
     }
 
     /// Validates a `fuse-nn` checkpoint (JSON or binary, auto-detected by
@@ -738,19 +723,10 @@ impl ServeEngine {
     /// The shared validation ladder of the two plan-artifact prepare entry
     /// points (see [`ServeEngine::prepare_hot_swap_plan`] for the order).
     fn validate_plan_swap(&self, plan: ExecPlan, model_name: &str) -> Result<PreparedSwap> {
-        // `dequantized_params` is the full-signature f32 layout for float
-        // *and* quantized artifacts (a quantized plan's own `params` table
-        // holds only biases); the base model always stores f32, so a
-        // quantized swap applies the int8 weights' dequantized values —
-        // carrying the bounded rounding — while the installed plan itself
-        // executes the int8 tables.
-        let signature = plan.signature();
-        let checkpoint = Checkpoint {
-            model_name: model_name.to_string(),
-            param_len: signature.param_len(),
-            layer_names: signature.layer_names().to_vec(),
-            params: plan.dequantized_params(),
-        };
+        // The base model always stores f32, so a quantized swap applies the
+        // int8 weights' dequantized values — carrying the bounded rounding —
+        // while the installed plan itself executes the int8 tables.
+        let checkpoint = Checkpoint::of_plan(&plan, model_name);
         let served = self.base_plan.signature();
         checkpoint.check_layout(served.param_len(), served.layer_names())?;
         let input_dims = self.config.feature_map.input_dims();
@@ -800,7 +776,7 @@ impl ServeEngine {
     /// model and bumps [`ServeEngine::model_version`]. The checkpoint is
     /// validated first ([`ServeEngine::prepare_hot_swap`]): on any error the
     /// engine keeps serving the old weights. Adapted sessions keep their
-    /// private models (call [`Session::reset_to_base`] to rejoin the shared
+    /// private plans (call [`Session::reset_to_base`] to rejoin the shared
     /// model).
     ///
     /// # Errors
@@ -866,10 +842,10 @@ impl ServeEngine {
 
     /// Closes a session and packages everything a peer engine needs to
     /// continue it bit-identically: the fusion history and lifetime frame
-    /// counter, the private fine-tuned weights (captured as an `FCKP`
-    /// [`Checkpoint`]), and any still-unserved featurized frames. This is
-    /// the source side of cross-host session migration; the counterpart is
-    /// [`ServeEngine::reopen_with_history`].
+    /// counter, the private fine-tuned weights (read from the session's plan
+    /// as an `FCKP` [`Checkpoint`]), and any still-unserved featurized frames.
+    /// This is the source side of cross-host session migration; the
+    /// counterpart is [`ServeEngine::reopen_with_history`].
     ///
     /// # Errors
     ///
@@ -877,7 +853,7 @@ impl ServeEngine {
     pub fn export_session(&mut self, id: u64) -> Result<SessionState> {
         let (session, unserved) = self.close_session(id)?;
         let checkpoint =
-            session.model().map(|model| Checkpoint::capture(model, &format!("session-{id}")));
+            session.plan().map(|plan| Checkpoint::of_plan(plan, &format!("session-{id}")));
         Ok(SessionState {
             id,
             slo: session.slo_class(),
@@ -894,12 +870,12 @@ impl ServeEngine {
     /// Reopens a migrated session from exported state: the fusion history is
     /// replayed (so the next submit fuses over exactly the frames the source
     /// host held), the frame-index sequence continues from `frames_seen`,
-    /// an adapted session's private model is rebuilt by applying the `FCKP`
-    /// checkpoint to a clone of this engine's base architecture (and its
-    /// plan recompiled from those exact weights), and unserved frames rejoin
-    /// the pending queue. Every subsequent response is bit-identical to what
-    /// the source host would have produced — the parameters travel as exact
-    /// `f32` bit patterns and featurized tensors travel as-is.
+    /// an adapted session's private plan is compiled from the `FCKP`
+    /// checkpoint applied to a clone of this engine's base architecture
+    /// (only the plan is kept), and unserved frames rejoin the pending queue.
+    /// Every subsequent response is bit-identical to what the source host
+    /// would have produced — the parameters travel as exact `f32` bit
+    /// patterns and featurized tensors travel as-is.
     ///
     /// Only the latency clock restarts: re-queued frames get a fresh submit
     /// timestamp, so `Stage::Total` samples around a migration measure the
@@ -971,8 +947,7 @@ impl ServeEngine {
         if let Some(ckpt) = checkpoint {
             let mut model = self.base.clone();
             ckpt.apply_to(&mut model)?;
-            let plan = compile_plan(&model, &self.config)?;
-            session.install(model, plan);
+            session.install(compile_plan(&model, &self.config)?);
         }
         self.sessions.insert(id, session);
         let submitted = Instant::now();
@@ -1053,6 +1028,12 @@ mod tests {
             })
             .collect();
         PointCloudFrame::new(0, 0.0, points)
+    }
+
+    fn adaptation_data() -> EncodedDataset {
+        use fuse_dataset::{encode_dataset, MarsSynthesizer, SynthesisConfig};
+        let data = MarsSynthesizer::new(SynthesisConfig::tiny()).generate().unwrap();
+        encode_dataset(&data, &FrameFusion::default(), &FeatureMapBuilder::default()).unwrap()
     }
 
     #[test]
@@ -1265,13 +1246,7 @@ mod tests {
 
     #[test]
     fn adapted_sessions_use_a_private_model() {
-        use fuse_dataset::{
-            encode_dataset, FeatureMapBuilder, FrameFusion, MarsSynthesizer, SynthesisConfig,
-        };
-        let data = MarsSynthesizer::new(SynthesisConfig::tiny()).generate().unwrap();
-        let encoded =
-            encode_dataset(&data, &FrameFusion::default(), &FeatureMapBuilder::default()).unwrap();
-
+        let encoded = adaptation_data();
         let mut engine = tiny_engine();
         engine.open_session(SessionConfig::new(1)).unwrap();
         engine.open_session(SessionConfig::new(2)).unwrap();
@@ -1556,7 +1531,6 @@ mod tests {
             !failed.session(1).unwrap().is_adapted(),
             "a failed first adaptation must not adapt"
         );
-        assert!(failed.session(1).unwrap().model().is_none());
 
         for engine in [&mut failed, &mut reference] {
             engine.submit(1, frame(3, 16)).unwrap();
@@ -1567,6 +1541,77 @@ mod tests {
         assert_eq!(responses, reference.take_responses(), "responses must be bit-identical");
         assert!(!responses[0].adapted && responses[1].adapted);
         assert!(failed.export_session(1).unwrap().checkpoint.is_none());
+    }
+
+    /// A lowerable model whose `Dropout` draws from its RNG in training.
+    fn dropout_engine() -> ServeEngine {
+        use fuse_nn::layers::{Dropout, Flatten, Linear, Relu};
+        let model = Sequential::new(vec![
+            Box::new(Flatten::new()),
+            Box::new(Linear::new(320, 16, 1).unwrap()),
+            Box::new(Relu::new()),
+            Box::new(Dropout::new(0.5, 2).unwrap()),
+            Box::new(Linear::new(16, 57, 3).unwrap()),
+        ]);
+        ServeEngine::new(model, ServeConfig::default()).unwrap()
+    }
+
+    fn adapted_params(engine: &ServeEngine, id: u64) -> Vec<f32> {
+        engine.session(id).unwrap().plan().unwrap().params().to_vec()
+    }
+
+    #[test]
+    fn re_adapting_a_migrated_session_matches_re_adapting_it_in_place() {
+        let data = adaptation_data();
+        let first = FineTuneConfig { epochs: 1, batch_size: 16, ..FineTuneConfig::default() };
+        let second = FineTuneConfig { seed: 5, ..first };
+        let (mut source, mut in_place, mut target) =
+            (dropout_engine(), dropout_engine(), dropout_engine());
+        for engine in [&mut source, &mut in_place] {
+            engine.open_session(SessionConfig::new(1)).unwrap();
+            engine.adapt_session(1, &data, &first).unwrap();
+        }
+        in_place.adapt_session(1, &data, &second).unwrap();
+        target.reopen_with_history(source.export_session(1).unwrap()).unwrap();
+        target.adapt_session(1, &data, &second).unwrap();
+        assert_eq!(adapted_params(&target, 1), adapted_params(&in_place, 1));
+    }
+
+    #[test]
+    fn an_adaptation_does_not_depend_on_earlier_adaptations_of_other_sessions() {
+        let data = adaptation_data();
+        let config = FineTuneConfig { epochs: 1, batch_size: 16, ..FineTuneConfig::default() };
+        let mut shared = dropout_engine();
+        for id in [1, 2] {
+            shared.open_session(SessionConfig::new(id)).unwrap();
+            shared.adapt_session(id, &data, &config).unwrap();
+        }
+        let mut fresh = dropout_engine();
+        fresh.open_session(SessionConfig::new(2)).unwrap();
+        fresh.adapt_session(2, &data, &config).unwrap();
+        assert_eq!(adapted_params(&shared, 2), adapted_params(&fresh, 2));
+    }
+
+    #[test]
+    fn huge_fusion_windows_serve_like_a_window_spanning_the_stream() {
+        // Over N frames every window M >= N - 1 fuses all of them, so
+        // M = 2^40 and M = usize::MAX must serve exactly like M = N - 1, and
+        // opening such a session must not reserve the window up front.
+        const N: usize = 5;
+        let serve = |half_window: usize| {
+            let mut engine = tiny_engine();
+            let config = SessionConfig::new(1).fusion(FrameFusion::new(half_window));
+            engine.open_session(config).unwrap();
+            for i in 0..N {
+                engine.submit(1, frame(i as u64, 8)).unwrap();
+                engine.step().unwrap();
+            }
+            assert_eq!(engine.session(1).unwrap().history_len(), N);
+            engine.take_responses()
+        };
+        let reference = serve(N - 1);
+        assert_eq!(serve(1 << 40), reference);
+        assert_eq!(serve(usize::MAX), reference);
     }
 
     #[test]

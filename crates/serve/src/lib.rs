@@ -9,8 +9,8 @@
 //!   delay line and featurization as an explicit per-session op state, with
 //!   deterministic missing-frame ticks for variable cadence and dropout;
 //! * [`Session`] — one client's streaming-op state plus, once adapted
-//!   online, a private fine-tuned clone of the served model and its
-//!   compiled plan; created from the typed [`SessionConfig`] builder,
+//!   online, a private plan compiled from its fine-tuned weights (the only
+//!   copy of them); created from the typed [`SessionConfig`] builder,
 //!   optionally carrying a service class ([`SloClass`]) the cluster layer
 //!   maps to backpressure;
 //! * [`ServeEngine`] — owns the shared base model, its compiled plan and

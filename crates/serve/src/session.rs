@@ -3,10 +3,10 @@
 //! A [`Session`] owns everything one streaming client needs: the per-session
 //! state of the streaming ops (the fusion delay line and featurization
 //! counters — see [`crate::stream`]), an optional service-level class, and —
-//! once the client has been adapted online — a private fine-tuned clone of
-//! the served model together with its compiled plan. Sessions are plain
-//! state holders; the [`crate::ServeEngine`] drives them, owns the shared
-//! base model and builds every private model and plan.
+//! once the client has been adapted online — a private plan compiled from
+//! its fine-tuned weights, which is the only copy of those weights. Sessions
+//! are plain state holders; the [`crate::ServeEngine`] drives them, owns the
+//! shared base model and trains and compiles every private plan.
 //!
 //! Sessions are created from a [`SessionConfig`], the typed builder that
 //! replaced the old positional `Session::new(id, fusion, builder)`:
@@ -21,7 +21,6 @@
 
 use fuse_dataset::{FeatureMapBuilder, FrameFusion};
 use fuse_graph::ExecPlan;
-use fuse_nn::Sequential;
 use fuse_radar::{PointCloudFrame, RadarPoint};
 use fuse_tensor::Tensor;
 
@@ -166,10 +165,11 @@ pub struct Session {
     fusion_state: FusionState,
     featurize_op: FeaturizeOp,
     featurize_state: FeaturizeState,
-    /// Private fine-tuned model and the plan compiled from its weights,
-    /// installed together by the engine after an adaptation or migration;
-    /// `None` means the session serves from the engine's shared base model.
-    private: Option<(Sequential, ExecPlan)>,
+    /// The plan compiled from the session's fine-tuned weights, installed
+    /// by the engine after an adaptation or migration, and the only copy of
+    /// those weights ([`ExecPlan::params`]); `None` means the session serves
+    /// from the engine's shared base plan.
+    plan: Option<ExecPlan>,
     /// Number of frames ingested over the session's lifetime (ticks are not
     /// frames — see [`Session::ticks_seen`]).
     frames_seen: u64,
@@ -197,7 +197,7 @@ impl Session {
             fusion_state,
             featurize_op,
             featurize_state,
-            private: None,
+            plan: None,
             frames_seen: 0,
             ticks_seen: 0,
         }
@@ -264,37 +264,26 @@ impl Session {
         self.ticks_seen = ticks_seen;
     }
 
-    /// Installs a private model and the plan compiled from its weights,
-    /// replacing any previous pair (an adaptation, or a migrated session's
-    /// fine-tuned weights restored from an `FCKP` payload).
-    pub(crate) fn install(&mut self, model: Sequential, plan: ExecPlan) {
-        self.private = Some((model, plan));
+    /// Installs the plan compiled from the session's fine-tuned weights,
+    /// replacing any previous one (an adaptation, or a migrated session's
+    /// weights restored from an `FCKP` payload).
+    pub(crate) fn install(&mut self, plan: ExecPlan) {
+        self.plan = Some(plan);
     }
 
-    /// Removes and returns the private model and plan; the session serves
-    /// from the shared base model until a pair is installed again.
-    pub(crate) fn take_private(&mut self) -> Option<(Sequential, ExecPlan)> {
-        self.private.take()
-    }
-
-    /// `true` once the session serves from a private fine-tuned model.
+    /// `true` once the session serves from a private fine-tuned plan.
     pub fn is_adapted(&self) -> bool {
-        self.private.is_some()
+        self.plan.is_some()
     }
 
-    /// The session's private model, when adapted.
-    pub fn model(&self) -> Option<&Sequential> {
-        self.private.as_ref().map(|(model, _)| model)
-    }
-
-    /// The compiled execution plan of the session's private model, when
-    /// adapted.
+    /// The session's private plan, when adapted. Its
+    /// [`ExecPlan::params`] are the session's fine-tuned weights.
     pub fn plan(&self) -> Option<&ExecPlan> {
-        self.private.as_ref().map(|(_, plan)| plan)
+        self.plan.as_ref()
     }
 
     pub(crate) fn plan_mut(&mut self) -> Option<&mut ExecPlan> {
-        self.private.as_mut().map(|(_, plan)| plan)
+        self.plan.as_mut()
     }
 
     /// Advances the fusion delay line with a frame (evicting the oldest slot
@@ -360,11 +349,10 @@ impl Session {
         Ok(self.feature_map().build(points, None)?)
     }
 
-    /// Drops the private model (and its compiled plan): the session goes back
-    /// to serving from the engine's shared base model (e.g. after a
-    /// checkpoint hot-swap).
+    /// Drops the private plan: the session goes back to serving from the
+    /// engine's shared base model (e.g. after a checkpoint hot-swap).
     pub fn reset_to_base(&mut self) {
-        self.private = None;
+        self.plan = None;
     }
 }
 
@@ -467,13 +455,12 @@ mod tests {
     #[test]
     fn reset_to_base_drops_the_private_model() {
         use fuse_nn::layers::Linear;
-        use fuse_nn::LoweringRequest;
+        use fuse_nn::{LoweringRequest, Sequential};
         let mut s = Session::new(SessionConfig::new(4));
         assert!(!s.is_adapted());
-        assert!(s.model().is_none());
+        assert!(s.plan().is_none());
         let model = Sequential::new(vec![Box::new(Linear::new(2, 1, 0).unwrap())]);
-        let plan = LoweringRequest::new(&model, &[2]).lower().unwrap().compile(1).unwrap();
-        s.install(model, plan);
+        s.install(LoweringRequest::new(&model, &[2]).lower().unwrap().compile(1).unwrap());
         assert!(s.is_adapted());
         assert!(s.plan().is_some());
         s.reset_to_base();

@@ -99,9 +99,10 @@ impl FusionOp {
         &self.fusion
     }
 
-    /// Number of cadence slots the delay line holds (`M + 1`).
+    /// Number of cadence slots the delay line holds (`M + 1`, saturating:
+    /// a window of `usize::MAX` never evicts).
     pub fn slots(&self) -> usize {
-        self.fusion.half_window() + 1
+        self.fusion.half_window().saturating_add(1)
     }
 
     /// Recomputes the fused point set from scratch over the state's retained
@@ -171,8 +172,10 @@ impl StreamOp for FusionOp {
     type Input = PointCloudFrame;
     type Output = usize;
 
+    /// Reserves nothing: the half-window arrives from the wire unchecked,
+    /// so the delay line grows one slot per cadence slot, up to `M + 1`.
     fn init(&self) -> FusionState {
-        FusionState { slots: VecDeque::with_capacity(self.slots()), fused: Vec::new() }
+        FusionState::default()
     }
 
     fn reset(&self, state: &mut FusionState) {

@@ -6,8 +6,8 @@
 //! [`ShardSpec::Remote`], and streams several sessions through the wire:
 //! every submit, flush, checkpoint fan-out and metrics snapshot crosses a
 //! length-prefixed, checksummed `FNET` frame. Mid-stream, one session is
-//! migrated from one host to the other — fusion history and private model
-//! travel as wire payloads — and the stream keeps serving from its new home
+//! migrated from one host to the other — fusion history and private plan
+//! weights travel as wire payloads — and the stream keeps serving from its new home
 //! with byte-identical outputs (the contract pinned by the
 //! `wire_cluster` integration tests).
 //!
@@ -121,7 +121,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         }
         if round == migrate_at {
             // Live migration between hosts: session 0's fusion history (and
-            // private model, had it fine-tuned) crosses the wire; every
+            // private plan's weights, had it fine-tuned) crosses the wire; every
             // response after this is byte-identical to never having moved.
             let from = router.shard_of(0);
             router.migrate_session(0, 1 - from)?;

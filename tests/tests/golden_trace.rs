@@ -203,6 +203,98 @@ fn cluster_reproduces_the_serve_golden_stream_for_any_shard_count() {
     }
 }
 
+/// Trace of adapted serving through the engine: the exact responses of
+/// sessions fine-tuned online (all layers and last layer), re-adapted across
+/// a checkpoint hot-swap and migrated to a second engine, plus the length and
+/// FNV-1a-64 digest of each migrated session's `FCKP` bytes.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct AdaptedStreamTrace {
+    train_loss: Vec<Vec<f32>>,
+    /// `(session id, frame index, model version, adapted)` per response.
+    keys: Vec<(u64, u64, u64, bool)>,
+    responses: Vec<Vec<f32>>,
+    fckp_len: Vec<usize>,
+    fckp_fnv1a64: Vec<u64>,
+}
+
+impl AdaptedStreamTrace {
+    /// Submits `frame` to each of `ids`, runs one step and records every
+    /// response.
+    fn serve(&mut self, engine: &mut ServeEngine, ids: &[u64], frame: &PointCloudFrame) {
+        for &id in ids {
+            engine.submit(id, frame.clone()).expect("submit succeeds");
+        }
+        engine.step().expect("step succeeds");
+        for r in engine.take_responses() {
+            self.keys.push((r.session_id, r.frame_index, r.model_version, r.adapted));
+            self.responses.push(r.joints);
+        }
+    }
+}
+
+#[test]
+fn serve_adapted_stream_matches_golden() {
+    let animator =
+        MovementAnimator::new(Subject::profile(1), Movement::BothUpperLimbExtension, 10.0)
+            .with_seed(4);
+    let samples = animator.sample_frames_with_velocities(0.0, 6);
+    let scatter = FastScatterModel::new(RadarConfig::iwr1443_indoor());
+    let frames: Vec<PointCloudFrame> =
+        (0..6).map(|i| scatter.sample(&scene_for_frame(&samples, i), i as u64)).collect();
+    let dataset = MarsSynthesizer::new(SynthesisConfig::tiny()).generate().expect("synthesis");
+    let encoded = encode_dataset(&dataset, &FrameFusion::default(), &FeatureMapBuilder::default())
+        .expect("encoding succeeds");
+    let all = FineTuneConfig { epochs: 1, batch_size: 16, ..FineTuneConfig::default() };
+    let last = FineTuneConfig { scope: FineTuneScope::LastLayer, seed: 1, ..all };
+    let again = FineTuneConfig { seed: 2, ..all };
+
+    let mut trace = AdaptedStreamTrace {
+        train_loss: Vec::new(),
+        keys: Vec::new(),
+        responses: Vec::new(),
+        fckp_len: Vec::new(),
+        fckp_fnv1a64: Vec::new(),
+    };
+    let model = build_mars_cnn(&ModelConfig::tiny(), 21).expect("model builds");
+    let mut engine = ServeEngine::new(model, ServeConfig::default()).expect("engine builds");
+    for id in 0..3 {
+        engine.open_session(SessionConfig::new(id)).expect("session opens");
+    }
+    let mut losses = vec![
+        engine.adapt_session(0, &encoded, &all).expect("adapts").train_loss,
+        engine.adapt_session(1, &encoded, &last).expect("adapts").train_loss,
+    ];
+    for frame in &frames[..2] {
+        trace.serve(&mut engine, &[0, 1, 2], frame);
+    }
+
+    losses.push(engine.adapt_session(0, &encoded, &again).expect("re-adapts").train_loss);
+    let donor = build_mars_cnn(&ModelConfig::tiny(), 99).expect("model builds");
+    let prepared = engine
+        .prepare_hot_swap_checkpoint(fuse_nn::Checkpoint::capture(&donor, "donor"))
+        .expect("swap validates");
+    engine.commit_hot_swap(prepared);
+    for frame in &frames[2..4] {
+        trace.serve(&mut engine, &[0, 1, 2], frame);
+    }
+
+    let model = build_mars_cnn(&ModelConfig::tiny(), 21).expect("model builds");
+    let mut receiver = ServeEngine::new(model, ServeConfig::default()).expect("engine builds");
+    for id in [0, 1] {
+        let state = engine.export_session(id).expect("session exports");
+        let bytes = state.checkpoint.as_ref().expect("adapted sessions carry weights").to_binary();
+        trace.fckp_len.push(bytes.len());
+        trace.fckp_fnv1a64.push(fuse_tensor::codec::fnv1a64(&bytes));
+        receiver.reopen_with_history(state).expect("session reopens");
+    }
+    for frame in &frames[4..] {
+        trace.serve(&mut receiver, &[0, 1], frame);
+        trace.serve(&mut engine, &[2], frame);
+    }
+    trace.train_loss = losses;
+    check_or_update("serve_adapted_stream", &trace);
+}
+
 /// Trace of a short online fine-tune/adaptation run: per-epoch losses and
 /// MAE plus a digest of the adapted parameters, all from fixed seeds. This
 /// pins the optimiser surface (Adam updates, batch shuffling, loss

@@ -409,3 +409,38 @@ fn a_mis_shaped_import_gets_a_typed_error_and_the_shard_keeps_serving() {
     assert!(matches!(bye, WireResponse::ShuttingDown), "shutdown got {bye:?}");
     host.join().expect("host thread joins");
 }
+
+/// Failure semantics: a session opened over the wire with a fusion window of
+/// 2^40 frames must not abort the host by reserving that window up front.
+/// The session serves like any other, and so does the host after it.
+#[test]
+fn a_huge_fusion_window_over_the_wire_does_not_abort_the_host() {
+    use fuse_dataset::FrameFusion;
+    use fuse_net::{RpcClient, WireRequest, WireResponse};
+
+    let (client_end, host_end) = sim_pair(FaultConfig::default(), FaultConfig::default());
+    let host = spawn_host(ClusterConfig::default(), host_end);
+    let mut client = RpcClient::new(client_end);
+    let mut call = |request: WireRequest| {
+        WireResponse::decode(&client.call(&request.encode()).unwrap()).unwrap()
+    };
+
+    let huge = SessionConfig::new(5).fusion(FrameFusion::new(1 << 40));
+    for config in [huge, SessionConfig::new(6)] {
+        let opened = call(WireRequest::Open { config });
+        assert!(matches!(opened, WireResponse::Opened), "open got {opened:?}");
+    }
+    for frame in golden_frames() {
+        for id in [5, 6] {
+            let submitted = call(WireRequest::Submit { id, frame: frame.clone() });
+            assert!(matches!(submitted, WireResponse::Submitted), "submit got {submitted:?}");
+        }
+        match call(WireRequest::Flush) {
+            WireResponse::Flushed(report) => assert_eq!(report.responses.len(), 2),
+            other => panic!("flush got {other:?}"),
+        }
+    }
+    let bye = call(WireRequest::Shutdown);
+    assert!(matches!(bye, WireResponse::ShuttingDown), "shutdown got {bye:?}");
+    host.join().expect("host thread joins");
+}
