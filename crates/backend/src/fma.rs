@@ -120,9 +120,10 @@ impl KernelBackend for FmaBackend {
         row0: usize,
         m: usize,
         n: usize,
+        accumulate: bool,
     ) {
         // Safety: construction proved avx2+fma.
-        unsafe { x86::avx2fma::gemm_at_b_band(a, b, out_band, row0, m, n) }
+        unsafe { x86::avx2fma::gemm_at_b_band(a, b, out_band, row0, m, n, accumulate) }
     }
 
     fn gemm_a_bt_row(&self, a_row: &[f32], b: &[f32], out_row: &mut [f32], k: usize) {

@@ -153,9 +153,11 @@ pub trait KernelBackend: Send + Sync {
         }
     }
 
-    /// A contiguous band of output rows of `out = aᵀ·b` starting at absolute
-    /// row `row0` (`a` stored `[k x m]`, `b` stored `[k x n]`). Overwrites
-    /// the band; accumulation is `p`-ascending per output element.
+    /// A contiguous band of output rows of `out (+)= aᵀ·b` starting at
+    /// absolute row `row0` (`a` stored `[k x m]`, `b` stored `[k x n]`).
+    /// Overwrites the band, or with `accumulate` adds onto it; accumulation
+    /// is `p`-ascending per output element.
+    #[allow(clippy::too_many_arguments)]
     fn gemm_at_b_band(
         &self,
         a: &[f32],
@@ -164,6 +166,7 @@ pub trait KernelBackend: Send + Sync {
         row0: usize,
         m: usize,
         n: usize,
+        accumulate: bool,
     );
 
     /// One output row of `out = a·bᵀ`: `out_row[j] = a_row · b[j*k..][..k]`
@@ -518,9 +521,32 @@ mod tests {
                     let b = data(k * n, m);
                     let mut out_s = vec![1.0f32; m * n];
                     let mut out_v = vec![-1.0f32; m * n];
-                    s.gemm_at_b_band(&a, &b, &mut out_s, 0, m, n);
-                    v.gemm_at_b_band(&a, &b, &mut out_v, 0, m, n);
+                    s.gemm_at_b_band(&a, &b, &mut out_s, 0, m, n, false);
+                    v.gemm_at_b_band(&a, &b, &mut out_v, 0, m, n, false);
                     assert_eq!(out_s, out_v, "gemm_at_b_band k={k} m={m} n={n}");
+
+                    // The accumulate form against a product into a zeroed
+                    // buffer added on with an axpy: bit-identical from a
+                    // zeroed accumulator (a freshly zeroed gradient), within
+                    // rounding from a live one (the terms associate onto the
+                    // accumulator one by one instead of as one sum).
+                    for init in [vec![0.0f32; m * n], data(m * n, 5)] {
+                        let mut acc = [init.clone(), init.clone()];
+                        for (be, out) in [s, v].into_iter().zip(&mut acc) {
+                            be.gemm_at_b_band(&a, &b, out, 0, m, n, true);
+                            let mut product = vec![0.0f32; m * n];
+                            be.gemm_at_b_band(&a, &b, &mut product, 0, m, n, false);
+                            let mut reference = init.clone();
+                            be.axpy(1.0, &product, &mut reference);
+                            if init.iter().all(|&x| x == 0.0) {
+                                assert_eq!(*out, reference, "zeroed acc k={k} m={m} n={n}");
+                            }
+                            for (x, r) in out.iter().zip(&reference) {
+                                assert!((x - r).abs() <= 1e-5 * r.abs().max(1.0), "{x} vs {r}");
+                            }
+                        }
+                        assert_eq!(acc[0], acc[1], "gemm_at_b_band acc k={k} m={m} n={n}");
+                    }
                 }
             }
         }
@@ -827,7 +853,7 @@ mod tests {
     #[should_panic(expected = "operands disagree on k")]
     fn gemm_at_b_band_rejects_operands_that_disagree_on_k() {
         panics_on_every_unsafe_backend("operands disagree on k", |be| {
-            be.gemm_at_b_band(&[1.0; 3 * 4], &[1.0; 2 * 5], &mut [0.0; 4 * 5], 0, 4, 5)
+            be.gemm_at_b_band(&[1.0; 3 * 4], &[1.0; 2 * 5], &mut [0.0; 4 * 5], 0, 4, 5, false)
         });
     }
 

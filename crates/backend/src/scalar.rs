@@ -31,10 +31,12 @@ pub(crate) fn gemm_row(a_row: &[f32], b: &[f32], out_row: &mut [f32], accumulate
     }
 }
 
-/// `k`-outer band kernel of `out = aᵀ·b` over a contiguous band of output
-/// rows starting at absolute row `row0` (`a` stored `[k x m]`, `b` stored
-/// `[k x n]`). Each output row accumulates in `p`-ascending order — the same
-/// order for any banding, so parallel output is bit-identical to serial.
+/// `k`-outer band kernel of `out (+)= aᵀ·b` over a contiguous band of
+/// output rows starting at absolute row `row0` (`a` stored `[k x m]`, `b`
+/// stored `[k x n]`). Each output row accumulates in `p`-ascending order —
+/// the same order for any banding, so parallel output is bit-identical to
+/// serial. With `accumulate` the terms add onto the band's current values
+/// instead of onto zeros.
 pub(crate) fn gemm_at_b_band(
     a: &[f32],
     b: &[f32],
@@ -42,8 +44,11 @@ pub(crate) fn gemm_at_b_band(
     row0: usize,
     m: usize,
     n: usize,
+    accumulate: bool,
 ) {
-    out_band.fill(0.0);
+    if !accumulate {
+        out_band.fill(0.0);
+    }
     let a_rows = a.chunks_exact(m);
     let b_rows = b.chunks_exact(n);
     assert_eq!(a_rows.len(), b_rows.len(), "operands disagree on k");
@@ -195,8 +200,9 @@ impl KernelBackend for ScalarBackend {
         row0: usize,
         m: usize,
         n: usize,
+        accumulate: bool,
     ) {
-        gemm_at_b_band(a, b, out_band, row0, m, n);
+        gemm_at_b_band(a, b, out_band, row0, m, n, accumulate);
     }
 
     fn gemm_a_bt_row(&self, a_row: &[f32], b: &[f32], out_row: &mut [f32], k: usize) {

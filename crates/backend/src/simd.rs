@@ -230,8 +230,9 @@ impl KernelBackend for SimdBackend {
         row0: usize,
         m: usize,
         n: usize,
+        accumulate: bool,
     ) {
-        level_dispatch!(self, gemm_at_b_band(a, b, out_band, row0, m, n));
+        level_dispatch!(self, gemm_at_b_band(a, b, out_band, row0, m, n, accumulate));
     }
 
     fn gemm_a_bt_row(&self, a_row: &[f32], b: &[f32], out_row: &mut [f32], k: usize) {

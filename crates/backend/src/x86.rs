@@ -474,8 +474,9 @@ macro_rules! simd_level {
                 }
             }
 
-            /// Band kernel of `out = aᵀ·b` (see the scalar reference for the
-            /// layout). Accumulation stays `p`-ascending per output element.
+            /// Band kernel of `out (+)= aᵀ·b` (see the scalar reference for
+            /// the layout). Accumulation stays `p`-ascending per output
+            /// element.
             ///
             /// # Safety
             ///
@@ -488,8 +489,11 @@ macro_rules! simd_level {
                 row0: usize,
                 m: usize,
                 n: usize,
+                accumulate: bool,
             ) {
-                out_band.fill(0.0);
+                if !accumulate {
+                    out_band.fill(0.0);
+                }
                 let a_rows = a.chunks_exact(m);
                 let b_rows = b.chunks_exact(n);
                 assert_eq!(a_rows.len(), b_rows.len(), "operands disagree on k");

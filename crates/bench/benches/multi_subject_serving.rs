@@ -5,7 +5,8 @@
 //! learned inference in a real-time loop, but for many clients at once. Each
 //! step stacks every session's pending frame into a single forward pass, so
 //! the per-frame cost should grow sublinearly with the session count on
-//! multi-core hosts. A checkpoint hot-swap timing rounds out the ops picture.
+//! multi-core hosts. A checkpoint hot-swap timing and online adaptation at
+//! both of the paper's scopes round out the ops picture.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -54,5 +55,30 @@ fn bench_hot_swap(c: &mut Criterion) {
     std::fs::remove_file(&path).ok();
 }
 
-criterion_group!(benches, bench_serving_step, bench_hot_swap);
+/// `adapt_session` on the MARS default model at the serving benchmark's
+/// settings (32 frames of one subject, one epoch, batch 16), fine-tuning
+/// every layer (paper Figure 3) or only the last (Figure 4).
+fn bench_adapt_session(c: &mut Criterion) {
+    let synthesis = SynthesisConfig {
+        subjects: vec![0],
+        movements: vec![fuse_skeleton::Movement::Squat],
+        frames_per_sequence: 32,
+        ..SynthesisConfig::tiny()
+    };
+    let dataset = MarsSynthesizer::new(synthesis).generate().expect("synthesis succeeds");
+    let data = encode_dataset(&dataset, &FrameFusion::default(), &FeatureMapBuilder::default())
+        .expect("encoding succeeds");
+    for (name, scope) in
+        [("all_layers", FineTuneScope::AllLayers), ("last_layer", FineTuneScope::LastLayer)]
+    {
+        let config =
+            FineTuneConfig { epochs: 1, batch_size: 16, scope, ..FineTuneConfig::default() };
+        let mut engine = engine_with_sessions(1);
+        c.bench_function(&format!("serve_adapt_session_{name}"), |b| {
+            b.iter(|| black_box(engine.adapt_session(0, &data, &config).expect("adapts")))
+        });
+    }
+}
+
+criterion_group!(benches, bench_serving_step, bench_hot_swap, bench_adapt_session);
 criterion_main!(benches);

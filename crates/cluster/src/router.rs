@@ -5,7 +5,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use fuse_core::{FineTuneConfig, FineTuneResult};
+use fuse_core::FineTuneConfig;
 use fuse_dataset::EncodedDataset;
 use fuse_net::Transport;
 use fuse_nn::{NnError, Sequential};
@@ -457,7 +457,8 @@ impl ClusterRouter {
     }
 
     /// Fine-tunes a session online on its shard (see
-    /// [`ServeEngine::adapt_session`]); blocks until the adaptation finished.
+    /// [`ServeEngine::adapt_session`]); blocks until the adaptation finished
+    /// and returns the mean training loss of each epoch.
     ///
     /// # Errors
     ///
@@ -468,7 +469,7 @@ impl ClusterRouter {
         id: u64,
         data: &EncodedDataset,
         config: &FineTuneConfig,
-    ) -> Result<FineTuneResult> {
+    ) -> Result<Vec<f32>> {
         let shard = *self.sessions.get(&id).ok_or(ClusterError::UnknownSession(id))?;
         let (ack_tx, ack_rx) = bounded(1);
         let command =

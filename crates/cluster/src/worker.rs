@@ -27,7 +27,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use fuse_core::{FineTuneConfig, FineTuneResult};
+use fuse_core::FineTuneConfig;
 use fuse_dataset::EncodedDataset;
 use fuse_nn::Checkpoint;
 use fuse_parallel::channel::{Receiver, Sender, TryRecvError};
@@ -126,7 +126,7 @@ pub(crate) enum Command {
         id: u64,
         data: Arc<EncodedDataset>,
         config: FineTuneConfig,
-        ack: Sender<ShardResult<FineTuneResult>>,
+        ack: Sender<ShardResult<Vec<f32>>>,
     },
     Flush {
         ack: Sender<ShardResult<FlushReport>>,

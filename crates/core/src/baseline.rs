@@ -2,7 +2,7 @@
 //! against throughout the paper's evaluation.
 
 use fuse_dataset::EncodedDataset;
-use fuse_nn::{Adam, L1Loss, Loss, Optimizer, Sequential};
+use fuse_nn::{Adam, L1Loss, Loss, Sequential};
 use serde::{Deserialize, Serialize};
 
 use crate::error::FuseError;
@@ -73,7 +73,6 @@ pub struct Trainer {
     model: Sequential,
     config: TrainerConfig,
     optimizer: Adam,
-    loss: L1Loss,
 }
 
 impl Trainer {
@@ -85,7 +84,7 @@ impl Trainer {
     pub fn new(model: Sequential, config: TrainerConfig) -> Result<Self> {
         config.validate()?;
         let optimizer = Adam::new(config.learning_rate, model.param_len());
-        Ok(Trainer { model, config, optimizer, loss: L1Loss })
+        Ok(Trainer { model, config, optimizer })
     }
 
     /// The training configuration.
@@ -115,25 +114,15 @@ impl Trainer {
     ///
     /// Propagates shape errors from the model or data pipeline.
     pub fn train_epoch(&mut self, train: &EncodedDataset, epoch: usize) -> Result<f32> {
-        let mut total = 0.0f64;
-        let mut batches = 0usize;
         let shuffle_seed = self.config.seed.wrapping_add(epoch as u64);
-        for (inputs, labels) in train.batches(self.config.batch_size, shuffle_seed) {
-            let pred = self.model.forward(&inputs, true)?;
-            let (value, grad) = self.loss.evaluate(&pred, &labels)?;
-            self.model.zero_grad();
-            self.model.backward(&grad)?;
-            let mut params = self.model.flat_params();
-            let grads = self.model.flat_grads();
-            self.optimizer.step(&mut params, &grads);
-            self.model.set_flat_params(&params)?;
-            total += value as f64;
-            batches += 1;
-        }
-        if batches == 0 {
-            return Err(FuseError::Experiment("training dataset produced no batches".into()));
-        }
-        Ok((total / batches as f64) as f32)
+        train_epoch(
+            &mut self.model,
+            &mut self.optimizer,
+            train,
+            self.config.batch_size,
+            shuffle_seed,
+            0,
+        )
     }
 
     /// Trains for the configured number of epochs, optionally evaluating on a
@@ -167,6 +156,44 @@ impl Trainer {
     pub fn evaluate(&mut self, data: &EncodedDataset) -> Result<PoseError> {
         evaluate_model(&mut self.model, data, self.config.batch_size)
     }
+}
+
+/// One epoch of L1 training over `data` in shuffled mini-batches, returning
+/// the mean batch loss: the loop shared by [`Trainer`] and online
+/// fine-tuning.
+///
+/// Only layers `first..` train. Backward stops at layer `first`, and
+/// `optimizer` (sized to those layers' parameters) updates their buffers in
+/// place. Earlier layers keep their parameters, and their gradient buffers
+/// are left untouched.
+///
+/// # Errors
+///
+/// Propagates shape errors from the model or data pipeline, and fails when
+/// `data` yields no batch.
+pub(crate) fn train_epoch(
+    model: &mut Sequential,
+    optimizer: &mut Adam,
+    data: &EncodedDataset,
+    batch_size: usize,
+    shuffle_seed: u64,
+    first: usize,
+) -> Result<f32> {
+    let mut total = 0.0f64;
+    let mut batches = 0usize;
+    for (inputs, labels) in data.batches(batch_size, shuffle_seed) {
+        let pred = model.forward(&inputs, true)?;
+        let (value, grad) = L1Loss.evaluate(&pred, &labels)?;
+        model.zero_grad_from(first);
+        model.backward_through(&grad, first)?;
+        optimizer.step_in_place(model.params_and_grads_mut(first));
+        total += value as f64;
+        batches += 1;
+    }
+    if batches == 0 {
+        return Err(FuseError::Experiment("training dataset produced no batches".into()));
+    }
+    Ok((total / batches as f64) as f32)
 }
 
 impl std::fmt::Debug for Trainer {

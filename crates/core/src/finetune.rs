@@ -6,12 +6,16 @@
 //! fully-connected layer, and after every epoch measure the MAE on both the
 //! *new* data (the unseen scenario) and the *original* data (to quantify
 //! catastrophic forgetting — the solid lines of Figures 3 and 4).
+//!
+//! [`adapt`] is the training alone, for serving; [`fine_tune`] runs the same
+//! epochs with the experiments' evaluations between them.
 
 use fuse_dataset::EncodedDataset;
-use fuse_nn::{Adam, L1Loss, Loss, Optimizer, Sequential};
+use fuse_nn::{Adam, Sequential};
 use fuse_parallel as par;
 use serde::{Deserialize, Serialize};
 
+use crate::baseline::train_epoch;
 use crate::error::FuseError;
 use crate::eval::{evaluate_model, PoseError};
 use crate::Result;
@@ -121,6 +125,62 @@ impl FineTuneResult {
     }
 }
 
+/// The epochs of one fine-tuning run: `config`'s scope resolved against a
+/// model, and an Adam sized to the parameters that scope trains.
+struct Epochs<'a> {
+    config: &'a FineTuneConfig,
+    data: &'a EncodedDataset,
+    first: usize,
+    optimizer: Adam,
+}
+
+impl<'a> Epochs<'a> {
+    fn new(
+        model: &Sequential,
+        data: &'a EncodedDataset,
+        config: &'a FineTuneConfig,
+    ) -> Result<Self> {
+        config.validate()?;
+        if data.is_empty() {
+            return Err(FuseError::Experiment("fine-tuning dataset is empty".into()));
+        }
+        let first = match config.scope {
+            FineTuneScope::AllLayers => 0,
+            FineTuneScope::LastLayer => {
+                let ranges = model.layer_param_ranges();
+                ranges.iter().rposition(|r| !r.is_empty()).unwrap_or(ranges.len())
+            }
+        };
+        let optimizer = Adam::new(config.learning_rate, model.param_len_from(first));
+        Ok(Epochs { config, data, first, optimizer })
+    }
+
+    /// Trains epoch `epoch` and returns its mean loss.
+    fn run(&mut self, model: &mut Sequential, epoch: usize) -> Result<f32> {
+        let seed = self.config.seed.wrapping_add(epoch as u64);
+        train_epoch(model, &mut self.optimizer, self.data, self.config.batch_size, seed, self.first)
+    }
+}
+
+/// Fine-tunes `model` in place on `data` and returns the mean training loss
+/// of each epoch: the training of [`fine_tune`] without its evaluations,
+/// leaving bit-identical parameters. Only the layers `config.scope` trains
+/// run backward and hold optimizer state, so a [`FineTuneScope::LastLayer`]
+/// run costs the forward passes plus the head's backward and update.
+///
+/// # Errors
+///
+/// Returns an error when the configuration is invalid, `data` is empty, or
+/// the model rejects the data's shape.
+pub fn adapt(
+    model: &mut Sequential,
+    data: &EncodedDataset,
+    config: &FineTuneConfig,
+) -> Result<Vec<f32>> {
+    let mut epochs = Epochs::new(model, data, config)?;
+    (0..config.epochs).map(|epoch| epochs.run(model, epoch)).collect()
+}
+
 /// Fine-tunes `model` in place on `finetune_data`, evaluating after every
 /// epoch on the held-out `new_eval` data and on `original_eval` data.
 ///
@@ -135,16 +195,7 @@ pub fn fine_tune(
     original_eval: &EncodedDataset,
     config: &FineTuneConfig,
 ) -> Result<FineTuneResult> {
-    config.validate()?;
-    if finetune_data.is_empty() {
-        return Err(FuseError::Experiment("fine-tuning dataset is empty".into()));
-    }
-    let mask = match config.scope {
-        FineTuneScope::AllLayers => vec![true; model.param_len()],
-        FineTuneScope::LastLayer => model.last_layer_mask(),
-    };
-    let loss = L1Loss;
-    let mut optimizer = Adam::new(config.learning_rate, model.param_len());
+    let mut epochs = Epochs::new(model, finetune_data, config)?;
     let mut result = FineTuneResult::default();
     let eval_batch = config.batch_size.max(64);
 
@@ -154,22 +205,7 @@ pub fn fine_tune(
     result.original_data_error.push(original_error);
 
     for epoch in 0..config.epochs {
-        let mut total = 0.0f64;
-        let mut batches = 0usize;
-        let shuffle_seed = config.seed.wrapping_add(epoch as u64);
-        for (inputs, labels) in finetune_data.batches(config.batch_size, shuffle_seed) {
-            let pred = model.forward(&inputs, true)?;
-            let (value, grad) = loss.evaluate(&pred, &labels)?;
-            model.zero_grad();
-            model.backward(&grad)?;
-            let mut params = model.flat_params();
-            let grads = model.flat_grads();
-            optimizer.step_masked(&mut params, &grads, &mask);
-            model.set_flat_params(&params)?;
-            total += value as f64;
-            batches += 1;
-        }
-        result.train_loss.push((total / batches.max(1) as f64) as f32);
+        result.train_loss.push(epochs.run(model, epoch)?);
         let (new_error, original_error) =
             evaluate_pair(model, new_eval, original_eval, eval_batch)?;
         result.new_data_error.push(new_error);
@@ -284,13 +320,59 @@ mod tests {
         };
         fine_tune(&mut model, &new_data, &new_data, &original, &config).unwrap();
         let after = model.flat_params();
-        let mask = model.last_layer_mask();
-        for i in 0..before.len() {
-            if !mask[i] {
-                assert_eq!(before[i], after[i], "frozen parameter {i} changed");
-            }
+        let ranges = model.layer_param_ranges();
+        let head = ranges.last().unwrap().clone();
+        assert!(!head.is_empty(), "the MARS CNN ends in its fully-connected head");
+        assert_eq!(before[..head.start], after[..head.start], "a frozen parameter changed");
+        assert_ne!(before[head.clone()], after[head]);
+    }
+
+    /// `adapt` is `fine_tune` without the evaluations: same parameters bit
+    /// for bit and the same per-epoch losses, at both scopes.
+    #[test]
+    fn adapt_matches_fine_tune_at_both_scopes() {
+        let (original, new_data) = encoded_pair();
+        for scope in [FineTuneScope::AllLayers, FineTuneScope::LastLayer] {
+            let config = FineTuneConfig {
+                epochs: 2,
+                batch_size: 16,
+                scope,
+                seed: 3,
+                ..FineTuneConfig::default()
+            };
+            let mut tuned = build_mars_cnn(&ModelConfig::tiny(), 4).unwrap();
+            let mut adapted = tuned.clone();
+            let result = fine_tune(&mut tuned, &new_data, &new_data, &original, &config).unwrap();
+            let losses = adapt(&mut adapted, &new_data, &config).unwrap();
+            assert_eq!(losses, result.train_loss, "{scope}");
+            let bits =
+                |m: &Sequential| m.flat_params().iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&adapted), bits(&tuned), "{scope}");
         }
-        assert_ne!(before, after);
+    }
+
+    /// On the MARS default model, last-layer adaptation trains fc2 alone:
+    /// Adam holds moments for its 29,241 parameters only, and every trunk
+    /// parameter stays byte-identical.
+    #[test]
+    fn last_layer_adapt_on_the_default_model_trains_and_holds_state_for_the_head_only() {
+        let (_, new_data) = encoded_pair();
+        let mut model = build_mars_cnn(&ModelConfig::default(), 6).unwrap();
+        let config = FineTuneConfig {
+            epochs: 1,
+            batch_size: 16,
+            scope: FineTuneScope::LastLayer,
+            ..FineTuneConfig::default()
+        };
+        let head = 512 * 57 + 57;
+        assert_eq!(Epochs::new(&model, &new_data, &config).unwrap().optimizer.param_len(), head);
+        let before = model.flat_params();
+        adapt(&mut model, &new_data, &config).unwrap();
+        let after = model.flat_params();
+        let trunk = before.len() - head;
+        let bits = |v: &[f32]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&after[..trunk]), bits(&before[..trunk]), "a trunk parameter changed");
+        assert_ne!(after[trunk..], before[trunk..]);
     }
 
     #[test]

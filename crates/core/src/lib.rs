@@ -38,7 +38,7 @@ pub mod task;
 pub use baseline::{Trainer, TrainerConfig, TrainingHistory};
 pub use error::FuseError;
 pub use eval::{evaluate_model, per_joint_mae_cm, predict_all, PoseError};
-pub use finetune::{fine_tune, FineTuneConfig, FineTuneResult, FineTuneScope};
+pub use finetune::{adapt, fine_tune, FineTuneConfig, FineTuneResult, FineTuneScope};
 pub use meta::{MetaConfig, MetaHistory, MetaTrainer, MetaVariant};
 pub use model::{build_mars_cnn, build_pooled_mars_cnn, ModelConfig};
 pub use task::TaskSampler;
@@ -51,7 +51,7 @@ pub mod prelude {
     pub use crate::baseline::{Trainer, TrainerConfig};
     pub use crate::eval::{evaluate_model, predict_all, PoseError};
     pub use crate::experiments::profile::ExperimentProfile;
-    pub use crate::finetune::{fine_tune, FineTuneConfig, FineTuneScope};
+    pub use crate::finetune::{adapt, fine_tune, FineTuneConfig, FineTuneScope};
     pub use crate::meta::{MetaConfig, MetaHistory, MetaTrainer, MetaVariant};
     pub use crate::model::{build_mars_cnn, build_pooled_mars_cnn, ModelConfig};
     pub use crate::FuseError;

@@ -246,13 +246,4 @@ mod tests {
         let config = ModelConfig { hidden: 0, ..ModelConfig::default() };
         assert!(build_mars_cnn(&config, 1).is_err());
     }
-
-    #[test]
-    fn last_layer_mask_covers_the_output_head() {
-        let config = ModelConfig::tiny();
-        let model = build_mars_cnn(&config, 1).unwrap();
-        let mask = model.last_layer_mask();
-        let trainable = mask.iter().filter(|&&m| m).count();
-        assert_eq!(trainable, config.hidden * config.outputs + config.outputs);
-    }
 }

@@ -40,7 +40,7 @@ pub use error::NetError;
 pub use frame::{decode_frame, encode_frame, FRAME_MAGIC, FRAME_VERSION};
 pub use message::{
     WireCheckpointMeta, WireCloseReport, WireError, WireFlushReport, WireGauge, WireRequest,
-    WireResponse,
+    WireResponse, MAX_WIRE_FUSION_HALF_WINDOW,
 };
 pub use rpc::{RpcClient, RpcServer};
 pub use sim::{sim_pair, FaultConfig, FaultHandle, FaultStats, SimTransport};

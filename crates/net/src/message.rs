@@ -14,10 +14,10 @@
 //! UTF-8. Decoders consume the entire buffer ([`crate::wire::Reader::finish`])
 //! so trailing garbage is an error.
 
-use fuse_core::{FineTuneConfig, FineTuneResult, FineTuneScope, PoseError};
+use fuse_core::{FineTuneConfig, FineTuneScope};
 use fuse_dataset::{EncodedDataset, EncodedSample};
 use fuse_dataset::{FeatureMapBuilder, FrameFusion};
-use fuse_nn::{AxisMae, Checkpoint};
+use fuse_nn::Checkpoint;
 use fuse_radar::{PointCloudFrame, RadarPoint};
 use fuse_serve::{
     LatencyRecorder, ServeError, ServeResponse, SessionConfig, SessionState, SloClass, Stage,
@@ -122,8 +122,8 @@ pub enum WireResponse {
     Ticked,
     /// The effective capacity override is in force.
     CapacitySet,
-    /// Fine-tuning finished with these per-epoch errors.
-    Adapted(FineTuneResult),
+    /// Fine-tuning finished; the mean training loss of each epoch.
+    Adapted(Vec<f32>),
     /// The shard is idle; how much work the flush performed.
     Flushed(WireFlushReport),
     /// The responses ready since the last poll, in serving order.
@@ -385,6 +385,24 @@ fn encode_session_config(w: &mut Writer, c: &SessionConfig) {
     }
 }
 
+/// The largest fusion half-window `M` a session may bring over the wire.
+///
+/// A streaming session keeps the last `M + 1` frames of its stream and
+/// re-bins all their points on every submit, so a host shard bounds `M` to
+/// bound what one client costs it. 64 is far beyond the paper's windows of
+/// one to five frames; an in-process [`SessionConfig`] is not capped.
+pub const MAX_WIRE_FUSION_HALF_WINDOW: usize = 64;
+
+fn decode_fusion(r: &mut Reader<'_>) -> Result<FrameFusion> {
+    let half_window = r.u64("fusion half window")?;
+    if half_window > MAX_WIRE_FUSION_HALF_WINDOW as u64 {
+        return Err(NetError::Decode(format!(
+            "fusion half window {half_window} exceeds the cap of {MAX_WIRE_FUSION_HALF_WINDOW}"
+        )));
+    }
+    Ok(FrameFusion::new(half_window as usize))
+}
+
 fn decode_session_config(r: &mut Reader<'_>) -> Result<SessionConfig> {
     let mut config = SessionConfig::new(r.u64("session id")?);
     if let Some(slo) = decode_slo_opt(r)? {
@@ -392,7 +410,7 @@ fn decode_session_config(r: &mut Reader<'_>) -> Result<SessionConfig> {
     }
     match r.u8("fusion flag")? {
         0 => {}
-        1 => config = config.fusion(FrameFusion::new(r.usize("fusion half window")?)),
+        1 => config = config.fusion(decode_fusion(r)?),
         other => return Err(NetError::Decode(format!("bad fusion flag {other}"))),
     }
     match r.u8("feature map flag")? {
@@ -432,7 +450,7 @@ fn encode_session_state(w: &mut Writer, s: &SessionState) {
 fn decode_session_state(r: &mut Reader<'_>) -> Result<SessionState> {
     let id = r.u64("session id")?;
     let slo = decode_slo_opt(r)?;
-    let fusion = FrameFusion::new(r.usize("fusion half window")?);
+    let fusion = decode_fusion(r)?;
     let frames_seen = r.u64("frames seen")?;
     let ticks_seen = r.u64("ticks seen")?;
     let n = r.len_prefix(20, "history length")?;
@@ -525,40 +543,6 @@ fn decode_finetune_config(r: &mut Reader<'_>) -> Result<FineTuneConfig> {
     };
     let seed = r.u64("seed")?;
     Ok(FineTuneConfig { epochs, batch_size, learning_rate, scope, seed })
-}
-
-fn encode_pose_errors(w: &mut Writer, errors: &[PoseError]) {
-    w.u64(errors.len() as u64);
-    for e in errors {
-        w.f32(e.meters.x);
-        w.f32(e.meters.y);
-        w.f32(e.meters.z);
-    }
-}
-
-fn decode_pose_errors(r: &mut Reader<'_>) -> Result<Vec<PoseError>> {
-    let n = r.len_prefix(12, "pose error count")?;
-    (0..n)
-        .map(|_| {
-            Ok(PoseError {
-                meters: AxisMae { x: r.f32("mae x")?, y: r.f32("mae y")?, z: r.f32("mae z")? },
-            })
-        })
-        .collect()
-}
-
-fn encode_finetune_result(w: &mut Writer, res: &FineTuneResult) {
-    encode_pose_errors(w, &res.new_data_error);
-    encode_pose_errors(w, &res.original_data_error);
-    w.f32_slice(&res.train_loss);
-}
-
-fn decode_finetune_result(r: &mut Reader<'_>) -> Result<FineTuneResult> {
-    Ok(FineTuneResult {
-        new_data_error: decode_pose_errors(r)?,
-        original_data_error: decode_pose_errors(r)?,
-        train_loss: r.f32_vec("train loss")?,
-    })
 }
 
 fn encode_serve_response(w: &mut Writer, resp: &ServeResponse) {
@@ -692,7 +676,8 @@ const REQ_SET_CAPACITY: u8 = 16;
 const RESP_OPENED: u8 = 1;
 const RESP_CLOSED: u8 = 2;
 const RESP_SUBMITTED: u8 = 3;
-const RESP_ADAPTED: u8 = 4;
+// Tag 4 carried the adaptation's evaluation curves; it stays retired so a
+// peer that still sends or expects that body gets a typed decode error.
 const RESP_FLUSHED: u8 = 5;
 const RESP_POLLED: u8 = 6;
 const RESP_SNAPSHOT: u8 = 7;
@@ -705,6 +690,7 @@ const RESP_SHUTTING_DOWN: u8 = 13;
 const RESP_ERROR: u8 = 14;
 const RESP_TICKED: u8 = 15;
 const RESP_CAPACITY_SET: u8 = 16;
+const RESP_ADAPTED: u8 = 17;
 
 impl WireRequest {
     /// Encodes the request as an RPC body.
@@ -832,9 +818,9 @@ impl WireResponse {
             WireResponse::Submitted => w.u8(RESP_SUBMITTED),
             WireResponse::Ticked => w.u8(RESP_TICKED),
             WireResponse::CapacitySet => w.u8(RESP_CAPACITY_SET),
-            WireResponse::Adapted(result) => {
+            WireResponse::Adapted(losses) => {
                 w.u8(RESP_ADAPTED);
-                encode_finetune_result(&mut w, result);
+                w.f32_slice(losses);
             }
             WireResponse::Flushed(report) => {
                 w.u8(RESP_FLUSHED);
@@ -904,7 +890,7 @@ impl WireResponse {
             RESP_SUBMITTED => WireResponse::Submitted,
             RESP_TICKED => WireResponse::Ticked,
             RESP_CAPACITY_SET => WireResponse::CapacitySet,
-            RESP_ADAPTED => WireResponse::Adapted(decode_finetune_result(&mut r)?),
+            RESP_ADAPTED => WireResponse::Adapted(r.f32_vec("train loss")?),
             RESP_FLUSHED => {
                 let n = r.len_prefix(29, "flush response count")?;
                 let responses =
@@ -1017,6 +1003,45 @@ mod tests {
     }
 
     #[test]
+    fn fusion_windows_above_the_cap_are_decode_errors() {
+        let open = |m: usize| {
+            let config = SessionConfig::new(4).fusion(FrameFusion::new(m));
+            WireRequest::decode(&WireRequest::Open { config }.encode())
+        };
+        assert!(open(MAX_WIRE_FUSION_HALF_WINDOW).is_ok());
+        for m in [MAX_WIRE_FUSION_HALF_WINDOW + 1, 1 << 40, usize::MAX] {
+            assert!(matches!(open(m), Err(NetError::Decode(_))), "open with M = {m}");
+        }
+        let state = SessionState {
+            id: 4,
+            slo: None,
+            fusion: FrameFusion::new(1 << 40),
+            frames_seen: 0,
+            ticks_seen: 0,
+            history: Vec::new(),
+            slot_mask: Vec::new(),
+            checkpoint: None,
+            pending: Vec::new(),
+        };
+        let import = WireRequest::ImportSession { state: Box::new(state) }.encode();
+        assert!(matches!(WireRequest::decode(&import), Err(NetError::Decode(_))));
+    }
+
+    #[test]
+    fn the_retired_adapted_tag_is_a_decode_error() {
+        // The body a peer built before the loss-only `Adapted` sent: tag 4,
+        // two empty error curves and one loss.
+        let mut old = vec![4u8];
+        old.extend_from_slice(&0u64.to_le_bytes());
+        old.extend_from_slice(&0u64.to_le_bytes());
+        old.extend_from_slice(&1u64.to_le_bytes());
+        old.extend_from_slice(&0.5f32.to_bits().to_le_bytes());
+        assert!(matches!(WireResponse::decode(&old), Err(NetError::Decode(_))));
+        let new = WireResponse::Adapted(vec![0.5]).encode();
+        assert_ne!(new[0], 4, "the loss-only body travels under a new tag");
+    }
+
+    #[test]
     fn submit_round_trips_frames_bit_exactly() {
         let original = frame(42);
         let WireRequest::Submit { id, frame: decoded } =
@@ -1109,11 +1134,6 @@ mod tests {
 
     #[test]
     fn responses_round_trip() {
-        let result = FineTuneResult {
-            new_data_error: vec![PoseError { meters: AxisMae { x: 0.01, y: 0.02, z: 0.03 } }],
-            original_data_error: vec![PoseError { meters: AxisMae { x: 0.04, y: 0.05, z: 0.06 } }],
-            train_loss: vec![0.5, 0.25],
-        };
         let polled = WireResponse::Polled(vec![ServeResponse {
             session_id: 3,
             frame_index: 8,
@@ -1127,7 +1147,7 @@ mod tests {
             WireResponse::Submitted,
             WireResponse::Ticked,
             WireResponse::CapacitySet,
-            WireResponse::Adapted(result),
+            WireResponse::Adapted(vec![0.5, 0.25]),
             WireResponse::Flushed(WireFlushReport {
                 responses: vec![ServeResponse {
                     session_id: 1,

@@ -126,6 +126,14 @@ pub trait Layer: Send + Sync {
         self.set_params(&tensors)
     }
 
+    /// Each parameter buffer paired with its gradient buffer, in
+    /// [`Layer::params`] order, with the parameter writable: what an
+    /// in-place optimiser step ([`crate::Adam::step_in_place`]) reads and
+    /// updates. Parameter-free layers keep the empty default.
+    fn params_and_grads_mut(&mut self) -> Vec<(&mut [f32], &[f32])> {
+        Vec::new()
+    }
+
     /// Resets all parameter gradients to zero.
     fn zero_grad(&mut self);
 

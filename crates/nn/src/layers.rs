@@ -155,16 +155,14 @@ impl Layer for Linear {
             )));
         }
         // grad_W[out, in] += grad_yᵀ[out, N] · x[N, in]
-        let mut gw = vec![0.0f32; self.out_features * self.in_features];
-        linalg::gemm_at_b(
+        linalg::gemm_at_b_acc(
             grad_output.as_slice(),
             input.as_slice(),
-            &mut gw,
+            self.grad_weight.as_mut_slice(),
             n,
             self.out_features,
             self.in_features,
         );
-        linalg::axpy(1.0, &gw, self.grad_weight.as_mut_slice());
         // grad_b[out] += sum over batch of grad_y
         for row in 0..n {
             for (gb, &g) in self.grad_bias.as_mut_slice().iter_mut().zip(
@@ -211,6 +209,13 @@ impl Layer for Linear {
 
     fn set_flat_params(&mut self, flat: &[f32]) -> Result<()> {
         copy_into(flat, [&mut self.weight, &mut self.bias])
+    }
+
+    fn params_and_grads_mut(&mut self) -> Vec<(&mut [f32], &[f32])> {
+        vec![
+            (self.weight.as_mut_slice(), self.grad_weight.as_slice()),
+            (self.bias.as_mut_slice(), self.grad_bias.as_slice()),
+        ]
     }
 
     fn zero_grad(&mut self) {
@@ -327,6 +332,13 @@ impl Layer for Conv2d {
 
     fn set_flat_params(&mut self, flat: &[f32]) -> Result<()> {
         copy_into(flat, [&mut self.weight, &mut self.bias])
+    }
+
+    fn params_and_grads_mut(&mut self) -> Vec<(&mut [f32], &[f32])> {
+        vec![
+            (self.weight.as_mut_slice(), self.grad_weight.as_slice()),
+            (self.bias.as_mut_slice(), self.grad_bias.as_slice()),
+        ]
     }
 
     fn zero_grad(&mut self) {

@@ -7,10 +7,12 @@
 //! [`Sequential`], the L1/MSE/Huber losses used for joint-coordinate
 //! regression, and SGD/Adam optimizers that operate on flattened parameter
 //! vectors so the meta-learning framework in `fuse-core` can snapshot,
-//! perturb and restore model parameters cheaply.
+//! perturb and restore model parameters cheaply. Plain training instead
+//! steps Adam in place over each layer's own buffers
+//! ([`Adam::step_in_place`]).
 //!
 //! ```
-//! use fuse_nn::{layers::Linear, layers::Relu, Sequential, L1Loss, Loss, Adam, Optimizer};
+//! use fuse_nn::{layers::Linear, layers::Relu, Sequential, L1Loss, Loss, Adam};
 //! use fuse_tensor::Tensor;
 //!
 //! let mut model = Sequential::new(vec![
@@ -29,10 +31,7 @@
 //!     assert!(value.is_finite());
 //!     model.zero_grad();
 //!     model.backward(&grad)?;
-//!     let grads = model.flat_grads();
-//!     let mut params = model.flat_params();
-//!     opt.step(params.as_mut_slice(), grads.as_slice());
-//!     model.set_flat_params(&params)?;
+//!     opt.step_in_place(model.params_and_grads_mut(0));
 //! }
 //! # Ok::<(), fuse_nn::NnError>(())
 //! ```

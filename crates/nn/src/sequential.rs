@@ -11,9 +11,12 @@ use crate::Result;
 /// Besides the obvious `forward`/`backward` plumbing, `Sequential` exposes the
 /// model parameters and gradients as single flattened `Vec<f32>`s
 /// ([`Sequential::flat_params`] / [`Sequential::flat_grads`]). This is the
-/// representation the optimizers and the MAML outer loop in `fuse-core`
-/// operate on: snapshotting θ, taking an inner gradient step, and restoring θ
-/// are all plain vector copies.
+/// representation the MAML outer loop in `fuse-core` operates on:
+/// snapshotting θ, taking an inner gradient step, and restoring θ are all
+/// plain vector copies. Training and fine-tuning skip the copies: they run
+/// backward only through the layers that train
+/// ([`Sequential::backward_through`]) and step Adam over those layers' own
+/// buffers ([`Sequential::params_and_grads_mut`]).
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
 }
@@ -79,8 +82,25 @@ impl Sequential {
     /// Propagates the first layer error encountered (e.g. backward before
     /// forward).
     pub fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+        self.backward_through(grad_output, 0)
+    }
+
+    /// Runs the backward pass through layers `first..` in reverse order and
+    /// stops there, returning the gradient with respect to layer `first`'s
+    /// input. Layers before `first` get no gradient: training only a suffix
+    /// of the model (the last layer, say) does not pay for the rest.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first layer error encountered (e.g. backward before
+    /// forward).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `first > self.len()`.
+    pub fn backward_through(&mut self, grad_output: &Tensor, first: usize) -> Result<Tensor> {
         let mut g = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
+        for layer in self.layers[first..].iter_mut().rev() {
             g = layer.backward(&g)?;
         }
         Ok(g)
@@ -88,14 +108,46 @@ impl Sequential {
 
     /// Resets every parameter gradient to zero.
     pub fn zero_grad(&mut self) {
-        for layer in &mut self.layers {
+        self.zero_grad_from(0);
+    }
+
+    /// Resets the parameter gradients of layers `first..` to zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `first > self.len()`.
+    pub fn zero_grad_from(&mut self, first: usize) {
+        for layer in &mut self.layers[first..] {
             layer.zero_grad();
         }
     }
 
     /// Total number of scalar parameters.
     pub fn param_len(&self) -> usize {
-        self.layers.iter().map(|l| l.param_len()).sum()
+        self.param_len_from(0)
+    }
+
+    /// Number of scalar parameters in layers `first..`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `first > self.len()`.
+    pub fn param_len_from(&self, first: usize) -> usize {
+        self.layers[first..].iter().map(|l| l.param_len()).sum()
+    }
+
+    /// Every parameter buffer of layers `first..`, paired with its gradient
+    /// buffer and writable in place, in [`Sequential::flat_params`] order:
+    /// what [`crate::Adam::step_in_place`] updates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `first > self.len()`.
+    pub fn params_and_grads_mut(
+        &mut self,
+        first: usize,
+    ) -> impl Iterator<Item = (&mut [f32], &[f32])> {
+        self.layers[first..].iter_mut().flat_map(|l| l.params_and_grads_mut())
     }
 
     /// All parameters flattened into a single vector, in layer order.
@@ -147,8 +199,7 @@ impl Sequential {
     /// Index ranges of each layer's parameters inside the flattened vector.
     ///
     /// Parameter-free layers (ReLU, Flatten, Dropout) contribute empty
-    /// ranges. The fine-tuning code uses this to freeze everything but the
-    /// last fully-connected layer.
+    /// ranges.
     pub fn layer_param_ranges(&self) -> Vec<std::ops::Range<usize>> {
         let mut ranges = Vec::with_capacity(self.layers.len());
         let mut offset = 0usize;
@@ -158,19 +209,6 @@ impl Sequential {
             offset += len;
         }
         ranges
-    }
-
-    /// Builds a boolean trainability mask over the flattened parameters that
-    /// enables only the last layer that actually has parameters.
-    pub fn last_layer_mask(&self) -> Vec<bool> {
-        let ranges = self.layer_param_ranges();
-        let mut mask = vec![false; self.param_len()];
-        if let Some(range) = ranges.iter().rev().find(|r| !r.is_empty()) {
-            for m in &mut mask[range.clone()] {
-                *m = true;
-            }
-        }
-        mask
     }
 }
 
@@ -278,16 +316,6 @@ mod tests {
         assert!(ranges[1].is_empty());
         assert!(ranges[2].is_empty());
         assert_eq!(ranges[3], 16..26);
-    }
-
-    #[test]
-    fn last_layer_mask_selects_final_linear() {
-        let m = tiny_model();
-        let mask = m.last_layer_mask();
-        let trainable = mask.iter().filter(|&&b| b).count();
-        assert_eq!(trainable, 4 * 2 + 2);
-        assert!(!mask[0]);
-        assert!(mask[m.param_len() - 1]);
     }
 
     #[test]

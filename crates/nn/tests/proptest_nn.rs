@@ -1,7 +1,7 @@
 //! Property-based tests for the neural-network substrate.
 
 use fuse_nn::layers::{Flatten, Linear, Relu};
-use fuse_nn::{Adam, L1Loss, Layer, Loss, MseLoss, Optimizer, Sequential, Sgd};
+use fuse_nn::{L1Loss, Layer, Loss, MseLoss, Optimizer, Sequential, Sgd};
 use fuse_tensor::Tensor;
 use proptest::prelude::*;
 
@@ -74,23 +74,6 @@ proptest! {
         for i in 0..6 {
             let delta = p[i] - params[i];
             prop_assert!((delta + lr * grads[i]).abs() < 1e-5);
-        }
-    }
-
-    /// Adam with a masked step never changes frozen parameters.
-    #[test]
-    fn adam_masked_step_freezes_parameters(
-        params in prop::collection::vec(-1.0f32..1.0, 8),
-        grads in prop::collection::vec(-1.0f32..1.0, 8),
-        mask_bits in prop::collection::vec(any::<bool>(), 8),
-    ) {
-        let mut p = params.clone();
-        let mut opt = Adam::new(0.05, 8);
-        opt.step_masked(&mut p, &grads, &mask_bits);
-        for i in 0..8 {
-            if !mask_bits[i] {
-                prop_assert_eq!(p[i], params[i]);
-            }
         }
     }
 

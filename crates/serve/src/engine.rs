@@ -46,7 +46,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::Instant;
 
-use fuse_core::{fine_tune, FineTuneConfig, FineTuneResult};
+use fuse_core::{adapt, FineTuneConfig};
 use fuse_dataset::{EncodedDataset, FeatureMapBuilder, FrameFusion};
 use fuse_graph::{ExecPlan, GraphError};
 use fuse_nn::{Checkpoint, LoweringRequest, Sequential};
@@ -611,13 +611,14 @@ impl ServeEngine {
         std::mem::take(&mut self.ready)
     }
 
-    /// Fine-tunes a session online on `data` (used as both the adaptation and
-    /// per-epoch evaluation set), starting from the session's private weights
-    /// or, for a first adaptation, the shared base model. Training runs on a
-    /// fresh clone of the base architecture, so the result is a function of
-    /// those weights, `data` and `config` alone. The session's plan is
-    /// replaced only once training and compiling succeed: a failed adaptation
-    /// leaves the session serving exactly what it served before.
+    /// Fine-tunes a session online on `data` with [`fuse_core::adapt`],
+    /// starting from the session's private weights or, for a first
+    /// adaptation, the shared base model, and returns the mean training loss
+    /// of each epoch. Training runs on a fresh clone of the base
+    /// architecture, so the result is a function of those weights, `data`
+    /// and `config` alone. The session's plan is replaced only once training
+    /// and compiling succeed: a failed adaptation leaves the session serving
+    /// exactly what it served before.
     ///
     /// # Errors
     ///
@@ -629,17 +630,17 @@ impl ServeEngine {
         id: u64,
         data: &EncodedDataset,
         config: &FineTuneConfig,
-    ) -> Result<FineTuneResult> {
+    ) -> Result<Vec<f32>> {
         let session = self.sessions.get_mut(&id).ok_or(ServeError::UnknownSession(id))?;
         let mut model = self.base.clone();
         if let Some(plan) = session.plan() {
             model.set_flat_params(plan.params())?;
         }
-        let result = fine_tune(&mut model, data, data, data, config)?;
+        let losses = adapt(&mut model, data, config)?;
         // The parameters are snapshotted into the plan at lowering time, so
         // the new weights need their own plan; the model is dropped here.
         session.install(compile_plan(&model, &self.config)?);
-        Ok(result)
+        Ok(losses)
     }
 
     /// Validates a `fuse-nn` checkpoint (JSON or binary, auto-detected by
@@ -1256,8 +1257,8 @@ mod tests {
             engine.adapt_session(42, &encoded, &config),
             Err(ServeError::UnknownSession(42))
         ));
-        let result = engine.adapt_session(2, &encoded, &config).unwrap();
-        assert_eq!(result.epochs(), 1);
+        let losses = engine.adapt_session(2, &encoded, &config).unwrap();
+        assert_eq!(losses.len(), 1);
         assert!(engine.session(2).unwrap().is_adapted());
         assert!(
             engine.session(2).unwrap().plan().is_some(),

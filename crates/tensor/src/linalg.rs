@@ -134,6 +134,31 @@ pub(crate) fn gemm_on(
 ///
 /// Panics if any slice is shorter than the dimensions imply.
 pub fn gemm_at_b(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, n: usize) {
+    gemm_at_b_dispatch(a, b, out, k, m, n, false);
+}
+
+/// Accumulating transposed-lhs multiply: `out += aᵀ * b` with the same
+/// layout rules as [`gemm_at_b`]. Each output element adds its terms onto
+/// its current value in `p`-ascending order, so from a zeroed `out` the
+/// result is bit-identical to [`gemm_at_b`]; layer backward passes use it to
+/// accumulate a weight gradient without a product-sized temporary.
+///
+/// # Panics
+///
+/// Panics if any slice is shorter than the dimensions imply.
+pub fn gemm_at_b_acc(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, n: usize) {
+    gemm_at_b_dispatch(a, b, out, k, m, n, true);
+}
+
+fn gemm_at_b_dispatch(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    k: usize,
+    m: usize,
+    n: usize,
+    acc: bool,
+) {
     assert!(a.len() >= k * m, "lhs buffer too small");
     assert!(b.len() >= k * n, "rhs buffer too small");
     assert!(out.len() >= m * n, "output buffer too small");
@@ -142,7 +167,9 @@ pub fn gemm_at_b(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, n: u
         return;
     }
     if k == 0 {
-        out.fill(0.0);
+        if !acc {
+            out.fill(0.0);
+        }
         return;
     }
     let (a, b) = (&a[..k * m], &b[..k * n]);
@@ -150,10 +177,10 @@ pub fn gemm_at_b(a: &[f32], b: &[f32], out: &mut [f32], k: usize, m: usize, n: u
     if m > 1 && par::parallel_beneficial(k * m * n) {
         let band_rows = m.div_ceil(par::available_threads());
         par::par_chunks_mut(out, band_rows * n, |band, out_band| {
-            be.gemm_at_b_band(a, b, out_band, band * band_rows, m, n);
+            be.gemm_at_b_band(a, b, out_band, band * band_rows, m, n, acc);
         });
     } else {
-        be.gemm_at_b_band(a, b, out, 0, m, n);
+        be.gemm_at_b_band(a, b, out, 0, m, n, acc);
     }
 }
 
@@ -406,6 +433,26 @@ mod tests {
         for (x, y) in out.iter().zip(&expected) {
             assert!((x - y).abs() < 1e-5);
         }
+    }
+
+    #[test]
+    fn gemm_at_b_acc_accumulates_on_top() {
+        let (k, m, n) = (3, 2, 4);
+        let a: Vec<f32> = (0..k * m).map(|i| i as f32 * 0.3 - 0.7).collect();
+        let b: Vec<f32> = (0..k * n).map(|i| i as f32 * -0.2 + 1.1).collect();
+        let mut product = vec![7.0; m * n];
+        gemm_at_b(&a, &b, &mut product, k, m, n);
+        let mut from_zero = vec![0.0; m * n];
+        gemm_at_b_acc(&a, &b, &mut from_zero, k, m, n);
+        assert_eq!(from_zero, product, "from zeros the accumulate form is the product");
+        let mut twice = from_zero.clone();
+        gemm_at_b_acc(&a, &b, &mut twice, k, m, n);
+        for (x, p) in twice.iter().zip(&product) {
+            assert!((x - 2.0 * p).abs() < 1e-5, "{x} vs 2 × {p}");
+        }
+        // k = 0 adds nothing.
+        gemm_at_b_acc(&[], &[], &mut twice, 0, m, n);
+        assert!(twice.iter().zip(&product).all(|(x, p)| (x - 2.0 * p).abs() < 1e-5));
     }
 
     #[test]

@@ -1,11 +1,14 @@
-//! CI gate for the zero-allocation contract of `fuse_graph::ExecPlan::run`
-//! and for the resident memory of an adapted serving session.
+//! CI gate for the zero-allocation contract of `fuse_graph::ExecPlan::run`,
+//! for the resident memory of an adapted serving session and for the
+//! transient memory of online adaptation.
 //!
 //! A counting wrapper around the system allocator proves that once a plan is
 //! compiled and warmed, steady-state serial execution performs **zero** heap
 //! allocations: every intermediate buffer was pre-planned into the plan's
 //! bump arena at compile time. The same wrapper tracks live bytes, which
-//! proves that an adapted session keeps its compiled plan and nothing else.
+//! proves that an adapted session keeps its compiled plan and nothing else,
+//! and their peak, which bounds what `fuse_core::adapt` holds while it
+//! trains.
 //!
 //! The gate pins `FUSE_THREADS=1` via [`fuse_parallel::with_threads`]: the
 //! zero-alloc contract covers the serial path (parallel dispatch may box its
@@ -32,6 +35,8 @@ thread_local! {
     // Bytes allocated minus bytes freed by this thread. Signed: a thread may
     // free what another thread allocated.
     static LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
+    // The highest `LIVE_BYTES` since the last `reset_peak`.
+    static PEAK_LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
 }
 
 // `try_with` fails only while the thread is being torn down, after anything
@@ -42,7 +47,10 @@ fn count_allocation(grown: isize) {
 }
 
 fn count_live(delta: isize) {
-    let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + delta));
+    let _ = LIVE_BYTES.try_with(|n| {
+        n.set(n.get() + delta);
+        let _ = PEAK_LIVE_BYTES.try_with(|peak| peak.set(peak.get().max(n.get())));
+    });
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -71,6 +79,15 @@ fn allocation_count() -> usize {
 
 fn live_bytes() -> isize {
     LIVE_BYTES.with(Cell::get)
+}
+
+/// Runs `f` and returns the most heap it held live above what was live when
+/// it started, on this thread.
+fn transient_peak(f: impl FnOnce()) -> isize {
+    let before = live_bytes();
+    PEAK_LIVE_BYTES.with(|peak| peak.set(before));
+    f();
+    PEAK_LIVE_BYTES.with(Cell::get) - before
 }
 
 #[test]
@@ -160,5 +177,54 @@ fn an_adapted_session_holds_its_plan_and_nothing_else() {
         engine.adapt_session(1, &data, &config).unwrap();
         let grown = live_bytes() - before;
         assert!(grown <= 0, "re-adapting a session grew the live heap by {grown} bytes");
+    });
+}
+
+/// Online adaptation of the MARS default model (1,083,705 parameters) at
+/// the serving benchmark's settings: 32 frames, one epoch, batch 16.
+/// Training in place allocates no flat copy of the parameters or gradients,
+/// no masked gradient and no product-sized weight-gradient temporary, and
+/// Adam's moments cover only what the scope trains. So a last-layer
+/// adaptation holds less than one full parameter vector of transient heap
+/// (a flat-copy step held at least five), and an all-layer one holds Adam's
+/// two moment vectors plus activations and per-batch buffers.
+#[test]
+fn adaptation_holds_no_flat_copies_of_the_model() {
+    use fuse_core::{adapt, build_mars_cnn, FineTuneConfig, FineTuneScope, ModelConfig};
+    use fuse_dataset::{
+        encode_dataset, FeatureMapBuilder, FrameFusion, MarsSynthesizer, SynthesisConfig,
+    };
+    use fuse_skeleton::Movement;
+
+    let synthesis = SynthesisConfig {
+        subjects: vec![0],
+        movements: vec![Movement::Squat],
+        frames_per_sequence: 32,
+        ..SynthesisConfig::tiny()
+    };
+    let data = MarsSynthesizer::new(synthesis).generate().unwrap();
+    let data =
+        encode_dataset(&data, &FrameFusion::default(), &FeatureMapBuilder::default()).unwrap();
+    let model = build_mars_cnn(&ModelConfig::default(), 7).unwrap();
+    let param_bytes = (4 * model.param_len()) as isize;
+    assert_eq!(param_bytes, 4_334_820);
+    // Activations, their gradients and the batches of a 16-frame step.
+    const SLACK: isize = 2 << 20;
+
+    fuse_parallel::with_threads(1, || {
+        for (scope, budget) in [
+            (FineTuneScope::LastLayer, param_bytes),
+            (FineTuneScope::AllLayers, 2 * param_bytes + SLACK),
+        ] {
+            let config = FineTuneConfig { epochs: 1, batch_size: 16, scope, ..Default::default() };
+            let mut trained = model.clone();
+            let peak = transient_peak(|| {
+                adapt(&mut trained, &data, &config).unwrap();
+            });
+            assert!(
+                peak < budget,
+                "{scope} adaptation held {peak} transient bytes, budget {budget}"
+            );
+        }
     });
 }

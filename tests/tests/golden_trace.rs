@@ -261,14 +261,14 @@ fn serve_adapted_stream_matches_golden() {
         engine.open_session(SessionConfig::new(id)).expect("session opens");
     }
     let mut losses = vec![
-        engine.adapt_session(0, &encoded, &all).expect("adapts").train_loss,
-        engine.adapt_session(1, &encoded, &last).expect("adapts").train_loss,
+        engine.adapt_session(0, &encoded, &all).expect("adapts"),
+        engine.adapt_session(1, &encoded, &last).expect("adapts"),
     ];
     for frame in &frames[..2] {
         trace.serve(&mut engine, &[0, 1, 2], frame);
     }
 
-    losses.push(engine.adapt_session(0, &encoded, &again).expect("re-adapts").train_loss);
+    losses.push(engine.adapt_session(0, &encoded, &again).expect("re-adapts"));
     let donor = build_mars_cnn(&ModelConfig::tiny(), 99).expect("model builds");
     let prepared = engine
         .prepare_hot_swap_checkpoint(fuse_nn::Checkpoint::capture(&donor, "donor"))

@@ -411,12 +411,15 @@ fn a_mis_shaped_import_gets_a_typed_error_and_the_shard_keeps_serving() {
 }
 
 /// Failure semantics: a session opened over the wire with a fusion window of
-/// 2^40 frames must not abort the host by reserving that window up front.
-/// The session serves like any other, and so does the host after it.
+/// 2^40 frames must not abort the host, nor make it keep and re-bin every
+/// frame of that session's stream. The host refuses the window as a typed
+/// `BadRequest` (half-windows above `MAX_WIRE_FUSION_HALF_WINDOW` do not
+/// decode) and keeps serving: a session at the cap and a default one serve
+/// after it.
 #[test]
 fn a_huge_fusion_window_over_the_wire_does_not_abort_the_host() {
     use fuse_dataset::FrameFusion;
-    use fuse_net::{RpcClient, WireRequest, WireResponse};
+    use fuse_net::{RpcClient, WireError, WireRequest, WireResponse, MAX_WIRE_FUSION_HALF_WINDOW};
 
     let (client_end, host_end) = sim_pair(FaultConfig::default(), FaultConfig::default());
     let host = spawn_host(ClusterConfig::default(), host_end);
@@ -426,7 +429,12 @@ fn a_huge_fusion_window_over_the_wire_does_not_abort_the_host() {
     };
 
     let huge = SessionConfig::new(5).fusion(FrameFusion::new(1 << 40));
-    for config in [huge, SessionConfig::new(6)] {
+    match call(WireRequest::Open { config: huge }) {
+        WireResponse::Error(WireError::BadRequest(msg)) => assert!(msg.contains("fusion")),
+        other => panic!("open with M = 2^40 got {other:?}"),
+    }
+    let capped = SessionConfig::new(5).fusion(FrameFusion::new(MAX_WIRE_FUSION_HALF_WINDOW));
+    for config in [capped, SessionConfig::new(6)] {
         let opened = call(WireRequest::Open { config });
         assert!(matches!(opened, WireResponse::Opened), "open got {opened:?}");
     }
